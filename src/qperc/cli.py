@@ -17,6 +17,7 @@ overrides the default per-amplitude tolerance used by validate.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -39,6 +40,7 @@ from .perceptron import predict as model_predict
 from .perceptron import train as train_model
 from .serialize import (
     matrix_to_json,
+    parse_amplitudes,
     parse_model,
     parse_state,
     parse_training_set,
@@ -58,6 +60,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, "%s: error: %s\n" % (self.prog, message))
+
+
+def _rank_tol(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text) from None
+    if not math.isfinite(v) or v < 0:
+        raise argparse.ArgumentTypeError("must be a finite non-negative number, got %r" % text)
+    return v
 
 
 def _read_text(path: str) -> str:
@@ -101,17 +113,7 @@ def _cmd_predict(args) -> int:
     raw = args.state
     if raw.startswith("@"):
         raw = _read_text(raw[1:])
-    if args.normalize:
-        import json as _json
-
-        try:
-            doc = _json.loads(raw)
-        except _json.JSONDecodeError as e:
-            raise ParseError("invalid JSON: %s" % e) from None
-        amps = [complex(v) if isinstance(v, (int, float)) else complex(v[0], v[1]) for v in doc]
-        x = normalize(amps)
-    else:
-        x = parse_state(raw)
+    x = normalize(parse_amplitudes(raw)) if args.normalize else parse_state(raw)
     y = model_predict(model, x)
     if args.json:
         import json as _json
@@ -208,7 +210,7 @@ def _build_parser() -> _Parser:
     t = sub.add_parser("train", parents=[], help="learn a model from a training-set file")
     t.add_argument("set", help="training-set JSON file")
     t.add_argument("--out", help="write the model here instead of stdout")
-    t.add_argument("--rank-tol", type=float, default=1e-10)
+    t.add_argument("--rank-tol", type=_rank_tol, default=1e-10)
     t.add_argument("--force", action="store_true", help="train even if the set is inconsistent")
     t.set_defaults(func=_cmd_train)
 

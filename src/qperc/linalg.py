@@ -22,8 +22,9 @@ NORM_TOL = 1e-9
 DEFAULT_UNITARY_TOL = 1e-10
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex)
+def _freeze(a: np.ndarray, copy: bool = True) -> np.ndarray:
+    # Without a copy, a view is frozen so the caller's array keeps its flags.
+    a = np.array(a, dtype=complex) if copy else np.asarray(a, dtype=complex).view()
     if not np.all(np.isfinite(a)):
         raise ValidationError("non-finite entry (nan or inf)")
     a.setflags(write=False)
@@ -108,6 +109,20 @@ class Matrix:
         if m.ndim != 2 or m.size == 0:
             raise ValidationError("matrix must be a non-empty 2-d array")
         self._m = m
+
+    @classmethod
+    def wrap(cls, a: np.ndarray) -> "Matrix":
+        """Wrap a complex array without copying it.
+
+        For arrays the caller has just built and will not write to
+        again: the array is checked finite and the wrapped view is
+        read-only.
+        """
+        m = object.__new__(cls)
+        m._m = _freeze(a, copy=False)
+        if m._m.ndim != 2 or m._m.size == 0:
+            raise ValidationError("matrix must be a non-empty 2-d array")
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":

@@ -1,10 +1,17 @@
 """One-shot quantum perceptron.
 
-Training takes a set of (input, target) state pairs, accumulates the
-rank-one maps |target><input| into a single weight matrix, and replaces
-that matrix by its unitary polar factor: with w = u diag(sigma) v_dag,
-every singular value is forced to one and the learned operator is
-u @ v_dag.  There is no update loop; one SVD is the whole of training.
+A training set of m (input, target) state pairs in dimension dim is
+held as two dim x m arrays, X with the inputs as columns and Y with the
+targets.  Training sums the rank-one maps |y_i><x_i| into the weight
+W = Y X†, and replaces W by its unitary polar factor: with
+W = u diag(sigma) v_dag, every singular value is forced to one and the
+learned operator is u @ v_dag.  There is no update loop; one SVD is the
+whole of training.
+
+Consistency compares the Gram matrices X†X and Y†Y entrywise, and the
+completeness class comes from the rank of X: by a Jacobi SVD of X
+itself when m = dim, and of the square R of a Householder QR of X†
+when m > dim (fewer than dim inputs cannot span the space).
 
 For a consistent training set (one whose pairs preserve pairwise inner
 products, i.e. could have come from some unitary) the learned operator
@@ -16,13 +23,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentTrainingSet, ValidationError
-from .linalg import Matrix, StateVector, apply, inner, matmul, max_abs_diff, outer
-from .svd import DEFAULT_RANK_TOL, svd
+from .linalg import Matrix, StateVector, apply, inner, max_abs_diff, outer
+from .svd import DEFAULT_RANK_TOL, svd, triangular_factor
 
 # Pairwise inner-product preservation slack accepted by train().
 CONSISTENCY_TOL = 1e-8
@@ -60,8 +67,9 @@ class TrainingPair:
 class TrainingSet:
     """A non-empty collection of equal-dimension training pairs.
 
-    The completeness class is computed once at construction from the
-    numerical rank of the matrix whose columns are the inputs.
+    At construction the inputs and targets are stacked as the columns
+    of two read-only dim x m arrays, ``x`` and ``y``, and the
+    completeness class is computed once from the numerical rank of x.
     """
 
     def __init__(self, pairs: Iterable[TrainingPair], rank_tol: float = DEFAULT_RANK_TOL):
@@ -76,11 +84,23 @@ class TrainingSet:
                 )
         self._pairs = pairs
         self._dim = dim
-        self._completeness = classify_set(pairs, rank_tol)
+        self._x = _columns([p.input.amps for p in pairs])
+        self._y = _columns([p.target.amps for p in pairs])
+        self._completeness = classify_set(self._x, rank_tol)
 
     @property
     def pairs(self) -> Tuple[TrainingPair, ...]:
         return self._pairs
+
+    @property
+    def x(self) -> np.ndarray:
+        """The inputs as the columns of a read-only dim x m array."""
+        return self._x
+
+    @property
+    def y(self) -> np.ndarray:
+        """The targets as the columns of a read-only dim x m array."""
+        return self._y
 
     @property
     def dim(self) -> int:
@@ -136,37 +156,40 @@ class PerceptronModel:
     rank_tol: float
 
 
+def _columns(vectors) -> np.ndarray:
+    a = np.stack(vectors, axis=1)
+    a.setflags(write=False)
+    return a
+
+
 def pair_weight(p: TrainingPair) -> Matrix:
     """The rank-one weight |target><input| contributed by one pair."""
     return outer(p.target, p.input)
 
 
 def total_weight(s: TrainingSet) -> Matrix:
-    """Sum of the per-pair weights of a training set."""
-    w = np.zeros((s.dim, s.dim), dtype=complex)
-    for p in s:
-        w = w + pair_weight(p).array
-    return Matrix(w)
+    """Sum of the per-pair weights of a training set, Y X†."""
+    return Matrix.wrap(s.y @ s.x.conj().T)
 
 
-def classify_set(pairs: Sequence[TrainingPair], rank_tol: float = DEFAULT_RANK_TOL) -> Completeness:
+def classify_set(x: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Completeness:
     """Classify input coverage as less-complete, complete or over-complete.
 
-    The rank of the input family is the number of significant singular
-    values of the matrix with the inputs as columns (zero-padded to
-    square, which leaves singular values untouched).
+    x holds the inputs as its columns (dim x m).  Fewer than dim inputs
+    cannot span the space.  Otherwise the rank is the number of
+    significant singular values of x, taken from a Jacobi SVD of x when
+    it is square, and of the dim x dim R of a Householder QR of x† when
+    it is tall (R has the singular values of x).  The Gram matrix x x†
+    is never formed: it would square the condition number.
     """
-    pairs = tuple(pairs)
-    if not pairs:
+    x = np.asarray(x)
+    if x.ndim != 2 or x.size == 0:
         raise ValidationError("cannot classify an empty set of pairs")
-    dim = pairs[0].input.dim
-    count = len(pairs)
-    n = max(dim, count)
-    x = np.zeros((n, n), dtype=complex)
-    for j, p in enumerate(pairs):
-        x[:dim, j] = p.input.amps
-    r = svd(Matrix(x), rank_tol=rank_tol).rank
-    if r < dim:
+    dim, count = x.shape
+    if count < dim:
+        return Completeness.LESS_COMPLETE
+    a = x if count == dim else triangular_factor(x.conj().T)
+    if svd(Matrix.wrap(a), rank_tol=rank_tol).rank < dim:
         return Completeness.LESS_COMPLETE
     if count == dim:
         return Completeness.COMPLETE
@@ -177,18 +200,20 @@ def consistency_check(s: TrainingSet, tol: float = CONSISTENCY_TOL) -> Consisten
     """Check that the pairs could all have come from one unitary map.
 
     A unitary preserves inner products, so for every i, j the inputs
-    and targets must satisfy <x_i|x_j> = <y_i|y_j> within tol.  The
-    report carries the worst violating pair and its magnitude.
+    and targets must satisfy <x_i|x_j> = <y_i|y_j> within tol, that is
+    X†X = Y†Y.  The report carries the worst violating pair (the first
+    in row-major order on ties) and its magnitude.
     """
-    worst = 0.0
-    worst_pair = None
-    ps = s.pairs
-    for i in range(len(ps)):
-        for j in range(i + 1, len(ps)):
-            d = abs(inner(ps[i].input, ps[j].input) - inner(ps[i].target, ps[j].target))
-            if d > worst:
-                worst = d
-                worst_pair = (i, j)
+    m = len(s)
+    g = s.x.conj().T @ s.x
+    g -= s.y.conj().T @ s.y
+    np.abs(g, out=g)
+    g[np.tri(m, dtype=bool)] = 0.0  # keep the strict upper triangle
+    # Complex values compare by real part first, and every imaginary
+    # part is now 0, so this is the first largest |violation|.
+    k = int(np.argmax(g))
+    worst = float(g.flat[k].real)
+    worst_pair = divmod(k, m) if worst > 0.0 else None
     return ConsistencyReport(ok=worst <= tol, worst_pair=worst_pair, violation=worst, tol=tol)
 
 
@@ -229,7 +254,7 @@ def train(
         f=r.u,
         sigma=r.sigma,
         w_new=r.v_dag,
-        unitary=matmul(r.u, r.v_dag),
+        unitary=Matrix.wrap(r.u.array @ r.v_dag.array),
         rank=r.rank,
         rank_tol=r.rank_tol,
     )

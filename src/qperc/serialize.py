@@ -16,6 +16,7 @@ Model file:
 from __future__ import annotations
 
 import json
+import sys
 from typing import Optional
 
 
@@ -48,10 +49,14 @@ def matrix_to_json(m: Matrix):
     return [[_c2j(z) for z in row] for row in m.array]
 
 
-def _state_from_json(v, where: str) -> StateVector:
+def _amplitudes_from_json(v, where: str) -> list:
     if not isinstance(v, list) or not v:
         raise ParseError("%s: expected a non-empty amplitude array" % where)
-    amps = [_j2c(t, where) for t in v]
+    return [_j2c(t, where) for t in v]
+
+
+def _state_from_json(v, where: str) -> StateVector:
+    amps = _amplitudes_from_json(v, where)
     try:
         return StateVector(amps)
     except ValidationError as e:
@@ -64,14 +69,24 @@ def _matrix_from_json(v, where: str) -> Matrix:
     return Matrix([[_j2c(t, where) for t in row] for row in v])
 
 
+def _loads(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError("invalid JSON: %s" % e) from None
+
+
+def parse_amplitudes(text: str) -> list:
+    """Parse a JSON amplitude array, such as "[1, 0]" or
+    "[[0.6, 0], [0, 0.8]]", into complex numbers without checking the
+    norm."""
+    return _amplitudes_from_json(_loads(text), "state")
+
+
 def parse_state(text: str) -> StateVector:
     """Parse one state from a JSON amplitude array such as
     "[1, 0]" or "[[0.6, 0], [0, 0.8]]"."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError("invalid JSON: %s" % e) from None
-    return _state_from_json(doc, "state")
+    return _state_from_json(_loads(text), "state")
 
 
 def serialize_training_set(s: TrainingSet, metadata: Optional[dict] = None) -> str:
@@ -93,10 +108,7 @@ def parse_training_set(text: str) -> TrainingSet:
     ValidationError (naming the offending pair) when a state fails the
     norm or dimension checks.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError("invalid JSON: %s" % e) from None
+    doc = _loads(text)
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     if "dim" not in doc or "pairs" not in doc:
@@ -135,10 +147,7 @@ def serialize_model(m: PerceptronModel) -> str:
 
 
 def parse_model(text: str) -> PerceptronModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError("invalid JSON: %s" % e) from None
+    doc = _loads(text)
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     for key in ("dim", "f", "w_new", "unitary", "sigma", "rank", "rank_tol"):
@@ -162,6 +171,14 @@ def parse_model(text: str) -> PerceptronModel:
         raise ValidationError("'sigma' must list %d real values" % dim)
     if not isinstance(doc["rank"], int) or not 0 <= doc["rank"] <= dim:
         raise ValidationError("'rank' out of range")
+    rank_tol = doc["rank_tol"]
+    # The chained comparison is exact for ints of any size and false for NaN.
+    if (
+        not isinstance(rank_tol, (int, float))
+        or isinstance(rank_tol, bool)
+        or not 0 <= rank_tol <= sys.float_info.max
+    ):
+        raise ValidationError("'rank_tol' must be a finite non-negative number")
     return PerceptronModel(
         dim=dim,
         f=f,
@@ -169,5 +186,5 @@ def parse_model(text: str) -> PerceptronModel:
         w_new=w_new,
         unitary=unitary,
         rank=doc["rank"],
-        rank_tol=float(doc["rank_tol"]),
+        rank_tol=float(rank_tol),
     )

@@ -8,14 +8,27 @@ and accumulates the same rotations into V.  When a full sweep over all
 pairs performs no rotation the columns of B are mutually orthogonal, so
 B = U diag(sigma) with sigma the column norms and U the normalized
 columns.  Rotations only ever act on the right, hence U's columns stay
-inside the column space of m; columns of B that end up numerically zero
-get their U direction filled in from canonical basis vectors instead.
+inside the column space of m.
+
+The stop test is purely relative: a pair rests once its coupling is
+below ORTH_TOL times the product of its column norms, which gives
+one-sided Jacobi high relative accuracy (Demmel and Veselić, "Jacobi's
+method is more accurate than QR", SIMAX 1992).  A column whose norm
+falls to n·eps of the (unit) Frobenius norm carries no direction above
+rounding; it is deflated, that is, never rotated again, and its U
+direction is completed from the canonical basis instead of normalized
+(LAPACK's zgesvj deflates in the same way).
 
 The output is made deterministic: singular values are sorted in
 descending order (stable towards the original column order on ties) and
 each column of U is rotated so that its largest-modulus entry is real
 and positive, with the paired V column absorbing the opposite phase so
 the product U diag(sigma) V† is untouched.
+
+:func:`triangular_factor` is the R of a Householder QR.  The singular
+values of a tall matrix are those of its square R, so a rank can be
+taken from a Jacobi SVD of R (the preconditioning of Drmač and Veselić,
+"New fast and accurate Jacobi SVD algorithm", SIMAX 2008).
 """
 
 from __future__ import annotations
@@ -29,11 +42,9 @@ from .errors import NotSquare, NumericalFailure
 from .linalg import Matrix
 
 # A column pair is rotated only while |<b_p|b_q>| exceeds this fraction
-# both of ||b_p|| * ||b_q|| and of the (unit, after pre-scaling)
-# Frobenius norm of the whole matrix.  The relative part stops us from
-# chasing roundoff on healthy pairs; the absolute part lets columns
-# that have collapsed to rounding noise rest, since their coupling can
-# never drop below the relative threshold alone.
+# of ||b_p|| * ||b_q||.  Columns that have collapsed to rounding noise,
+# whose coupling could never drop below it, are deflated instead (see
+# _jacobi_orthogonalize).
 ORTH_TOL = 1e-14
 
 # One-sided Jacobi converges quadratically once sorted; a handful of
@@ -41,6 +52,8 @@ ORTH_TOL = 1e-14
 MAX_SWEEPS = 100
 
 DEFAULT_RANK_TOL = 1e-10
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -66,23 +79,30 @@ class SvdResult:
     rank_tol: float
 
 
-def _jacobi_orthogonalize(a: np.ndarray, max_sweeps: int):
-    """Right-multiply a by plane rotations until its columns are
-    mutually orthogonal.  Expects a pre-scaled to unit Frobenius norm.
-    Returns (a, v) with a_out = a_in @ v and v unitary."""
-    n = a.shape[1]
-    v = np.eye(n, dtype=complex)
+def _jacobi_orthogonalize(av: np.ndarray, max_sweeps: int) -> None:
+    """Rotate the columns of av = [a; v] (a over v, each n x n) in
+    place until the columns of a are mutually orthogonal; v collects
+    the rotations, so a_out = a_in @ v_out when v starts as I.  Expects
+    a at unit Frobenius norm and av column-major, so one update rotates
+    both halves of a contiguous column."""
+    n = av.shape[1]
+    a = av[:n]
+    # Squared norm at or below which a column is deflated.
+    tiny = (n * _EPS) ** 2
+    vdot = np.vdot
     for _ in range(max_sweeps):
         rotated = False
         for p in range(n - 1):
+            ap = a[:, p]
             for q in range(p + 1, n):
-                ap = a[:, p]
                 aq = a[:, q]
-                alpha = float(np.vdot(ap, ap).real)
-                beta = float(np.vdot(aq, aq).real)
-                gamma = complex(np.vdot(ap, aq))
+                alpha = vdot(ap, ap).real
+                beta = vdot(aq, aq).real
+                if alpha <= tiny or beta <= tiny:
+                    continue
+                gamma = complex(vdot(ap, aq))
                 g = abs(gamma)
-                if g <= ORTH_TOL or g <= ORTH_TOL * math.sqrt(alpha * beta):
+                if g <= ORTH_TOL * math.sqrt(alpha * beta):
                     continue
                 # Factor out the phase of gamma, then the 2x2 Gram
                 # matrix [[alpha, g], [g, beta]] is real symmetric and
@@ -97,17 +117,15 @@ def _jacobi_orthogonalize(a: np.ndarray, max_sweeps: int):
                     t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = c * t
-                rp = c * ap - s * phase.conjugate() * aq
-                rq = s * phase * ap + c * aq
-                a[:, p] = rp
-                a[:, q] = rq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * phase.conjugate() * vq
-                v[:, q] = s * phase * vp + c * vq
+                bp = av[:, p]
+                bq = av[:, q]
+                rp = c * bp - s * phase.conjugate() * bq
+                bq *= c
+                bq += s * phase * bp
+                bp[:] = rp
                 rotated = True
         if not rotated:
-            return a, v
+            return
     raise NumericalFailure(
         "Jacobi SVD did not converge within %d sweeps" % max_sweeps
     )
@@ -115,27 +133,27 @@ def _jacobi_orthogonalize(a: np.ndarray, max_sweeps: int):
 
 def _complete_null_columns(u: np.ndarray, filled: np.ndarray) -> None:
     """Fill the columns of u marked False in `filled` with unit vectors
-    orthogonal to everything already present, by Gram-Schmidt over the
-    canonical basis in index order."""
+    orthogonal to everything already present, in column order.
+
+    Each is the canonical basis vector with the largest residual after
+    two Gram-Schmidt passes against the columns present, normalized
+    (the lowest index on ties).  The squared residuals of all n basis
+    vectors sum to the number of columns still missing, so the largest
+    is at least 1/sqrt(n) whenever the present columns are orthonormal.
+    """
     n = u.shape[0]
-    next_basis = 0
-    for i in range(n):
-        if filled[i]:
-            continue
-        while True:
-            if next_basis >= n:  # cannot happen for consistent input
-                raise NumericalFailure("failed to complete orthonormal basis")
-            cand = np.zeros(n, dtype=complex)
-            cand[next_basis] = 1.0
-            next_basis += 1
-            for j in range(n):
-                if j == i or filled[j]:
-                    cand -= np.vdot(u[:, j], cand) * u[:, j]
-            r = np.linalg.norm(cand)
-            if r > 0.5:
-                u[:, i] = cand / r
-                filled[i] = True
-                break
+    filled = filled.copy()
+    for i in np.flatnonzero(~filled):
+        q = u[:, filled]
+        cand = np.eye(n, dtype=complex)
+        for _ in range(2):
+            cand -= q @ (q.conj().T @ cand)
+        r = np.linalg.norm(cand, axis=0)
+        k = int(np.argmax(r))
+        if r[k] < 0.5 / math.sqrt(n):  # present columns not orthonormal
+            raise NumericalFailure("failed to complete orthonormal basis")
+        u[:, i] = cand[:, k] / r[k]
+        filled[i] = True
 
 
 def svd(m: Matrix, rank_tol: float = DEFAULT_RANK_TOL, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
@@ -163,48 +181,68 @@ def svd(m: Matrix, rank_tol: float = DEFAULT_RANK_TOL, max_sweeps: int = MAX_SWE
     # scale free and column products cannot underflow.
     fro = float(np.linalg.norm(m.array))
     scale = fro if fro > 0.0 else 1.0
-    b, v = _jacobi_orthogonalize(m.array.astype(complex, copy=True) / scale, max_sweeps)
+    av = np.zeros((2 * n, n), dtype=complex, order="F")
+    np.divide(m.array, scale, out=av[:n])
+    np.fill_diagonal(av[n:], 1.0)
+    _jacobi_orthogonalize(av, max_sweeps)
 
-    norms = np.linalg.norm(b, axis=0)
+    norms = np.linalg.norm(av[:n], axis=0)
     order = np.argsort(-norms, kind="stable")
-    b = b[:, order]
-    v = v[:, order]
+    u = av[:n, order]
+    v = av[n:, order]
+    del av
     norms = norms[order]
 
-    # Columns below this are directionless noise; their U direction is
+    # Deflated columns are directionless noise; their U direction is
     # completed from the canonical basis instead of normalized.
-    null_tol = n * np.finfo(float).eps * (norms[0] if norms[0] > 0.0 else 1.0)
-    u = np.zeros((n, n), dtype=complex)
-    filled = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if norms[i] > null_tol:
-            u[:, i] = b[:, i] / norms[i]
-            filled[i] = True
-    _complete_null_columns(u, filled)
+    live = norms > n * _EPS
+    u /= np.where(live, norms, 1.0)
+    _complete_null_columns(u, live)
 
     # Phase convention: largest-modulus entry of every u column made
     # real positive; the paired v column absorbs the conjugate phase
     # whenever its singular value is nonzero so the product is kept.
-    for i in range(n):
-        k = int(np.argmax(np.abs(u[:, i])))
-        z = u[k, i]
-        if abs(z) > 0.0:
-            ph = z / abs(z)
-            u[:, i] *= ph.conjugate()
-            if norms[i] > null_tol:
-                v[:, i] *= ph.conjugate()
+    z = u[np.argmax(np.abs(u), axis=0), np.arange(n)]
+    ph = (z / np.abs(z)).conj()
+    u *= ph
+    v *= np.where(live, ph, 1.0)
 
     values = norms * scale
     sigma_max = float(values[0])
     rank = int(np.sum(values > rank_tol * max(1.0, sigma_max)))
     sigma = tuple(float(x) for x in values)
+    np.conjugate(v, out=v)
     return SvdResult(
-        u=Matrix(u),
+        u=Matrix.wrap(u),
         sigma=sigma,
-        v_dag=Matrix(v.conj().T),
+        v_dag=Matrix.wrap(v.T),
         rank=rank,
         rank_tol=float(rank_tol),
     )
+
+
+def triangular_factor(a: np.ndarray) -> np.ndarray:
+    """The n x n upper-triangular R of a Householder QR of a tall m x n
+    complex array (m >= n), which has the singular values of a.
+
+    Column k is reflected onto -e^{i arg a_kk} ||a[k:, k]|| e_k, one
+    reflection per column as array operations; Q is not formed.
+    """
+    a = np.array(a, dtype=complex)
+    n = a.shape[1]
+    for k in range(n):
+        x = a[k:, k]
+        norm = float(np.linalg.norm(x))
+        if norm == 0.0:
+            continue
+        x0 = x[0]
+        alpha = -(x0 / abs(x0) if x0 != 0 else 1.0) * norm
+        w = x.copy()
+        w[0] -= alpha
+        w /= np.linalg.norm(w)
+        tail = a[k:, k:]
+        tail -= 2.0 * np.outer(w, w.conj() @ tail)
+    return np.triu(a[:n])
 
 
 def polar_unitary(m: Matrix, rank_tol: float = DEFAULT_RANK_TOL):
@@ -217,4 +255,4 @@ def polar_unitary(m: Matrix, rank_tol: float = DEFAULT_RANK_TOL):
     space follows the deterministic convention of :func:`svd`.
     """
     r = svd(m, rank_tol=rank_tol)
-    return Matrix(r.u.array @ r.v_dag.array), r.rank
+    return Matrix.wrap(r.u.array @ r.v_dag.array), r.rank

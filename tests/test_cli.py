@@ -77,6 +77,43 @@ def test_predict_normalize_flag(tmp_path, capsys):
     np.testing.assert_allclose([complex(re, im) for re, im in amps], [1, 0], atol=1e-9)
 
 
+def _error_lines(err):
+    return [line for line in err.splitlines() if "error:" in line]
+
+
+@pytest.mark.parametrize("state", ['["a", 1]', "[[1]]", "[1, [0]]", "[true, 1]", "{}", "[]", "[0, 0]"])
+def test_predict_normalize_rejects_malformed_amplitudes(tmp_path, capsys, state):
+    set_path = _write_set(tmp_path, "h.json", "H", "complete")
+    out = tmp_path / "model.json"
+    main(["train", set_path, "--out", str(out)])
+    capsys.readouterr()
+    assert main(["predict", str(out), "--state", state, "--normalize"]) == 2
+    assert len(_error_lines(capsys.readouterr().err)) == 1
+
+
+@pytest.mark.parametrize("rank_tol", ['"abc"', "null", "true", "-1", "NaN", "Infinity", "1" + "0" * 400])
+def test_model_with_bad_rank_tol_exits_2(tmp_path, capsys, rank_tol):
+    set_path = _write_set(tmp_path, "h.json", "H", "complete")
+    out = tmp_path / "model.json"
+    main(["train", set_path, "--out", str(out)])
+    doc = json.loads(out.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"rank_tol": 1e-10', '"rank_tol": ' + rank_tol))
+    capsys.readouterr()
+    assert main(["predict", str(bad), "--state", "[1, 0]"]) == 2
+    assert len(_error_lines(capsys.readouterr().err)) == 1
+
+
+@pytest.mark.parametrize("rank_tol", ["nan", "inf", "-inf", "-1"])
+def test_train_rejects_non_finite_or_negative_rank_tol(tmp_path, capsys, rank_tol):
+    set_path = _write_set(tmp_path, "h.json", "H", "complete")
+    capsys.readouterr()
+    assert main(["train", set_path, "--rank-tol", rank_tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(_error_lines(captured.err)) == 1
+
+
 def test_predict_wrong_dimension_state(tmp_path, capsys):
     set_path = _write_set(tmp_path, "c.json", "CNOT", "complete")
     out = tmp_path / "model.json"

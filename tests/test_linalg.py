@@ -71,6 +71,17 @@ def test_matrix_shape_checks():
     assert m.shape == (2, 3)
 
 
+def test_matrix_wrap_shares_the_array_and_freezes_only_its_view():
+    a = np.eye(2, dtype=complex)
+    m = Matrix.wrap(a)
+    assert np.shares_memory(m.array, a)
+    assert not m.array.flags.writeable and a.flags.writeable
+    with pytest.raises(ValidationError):
+        Matrix.wrap(np.array([[1.0, np.nan]], dtype=complex))
+    with pytest.raises(ValidationError):
+        Matrix.wrap(np.ones(2, dtype=complex))
+
+
 def test_conj_transpose_turns_ket_into_bra():
     ket0 = Matrix([[1], [0]])
     bra0 = conj_transpose(ket0)

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qperc.perceptron as perceptron_mod
 from qperc.errors import DimensionMismatch, InconsistentTrainingSet, ValidationError
 from qperc.gates import complete_training_set, standard_gate
 from qperc.linalg import Matrix, StateVector, apply, is_unitary, max_abs_diff, normalize
 from qperc.perceptron import (
+    CONSISTENCY_TOL,
     Completeness,
     TrainingPair,
     TrainingSet,
@@ -19,6 +22,7 @@ from qperc.perceptron import (
     total_weight,
     train,
 )
+from qperc.svd import DEFAULT_RANK_TOL
 
 SQRT2 = math.sqrt(2.0)
 
@@ -271,3 +275,113 @@ def test_fidelity_phase_invariant_mode():
     e0 = StateVector.basis(2, 0)
     e1 = StateVector.basis(2, 1)
     assert fidelity(e0, e1, phase_invariant=True) == pytest.approx(0.0)
+
+
+def _pairwise_consistency(s):
+    """Reference: the O(m^2) pairwise loop, first strict maximum wins."""
+    worst, worst_pair = 0.0, None
+    ps = s.pairs
+    for i in range(len(ps)):
+        for j in range(i + 1, len(ps)):
+            d = abs(np.vdot(ps[i].input.amps, ps[j].input.amps) - np.vdot(ps[i].target.amps, ps[j].target.amps))
+            if d > worst:
+                worst, worst_pair = d, (i, j)
+    return worst, worst_pair
+
+
+def _unit_columns(a):
+    return a / np.linalg.norm(a, axis=0)
+
+
+def _random_set(seed, dim, m, rank, consistent):
+    """m pairs whose inputs span a random rank-dimensional subspace;
+    targets Q x for a random unitary Q, or unrelated random states."""
+    g = np.random.default_rng(seed)
+    basis = g.standard_normal((dim, rank)) + 1j * g.standard_normal((dim, rank))
+    x = _unit_columns(basis @ (g.standard_normal((rank, m)) + 1j * g.standard_normal((rank, m))))
+    if consistent:
+        q, _ = np.linalg.qr(g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim)))
+        y = q @ x
+    else:
+        y = _unit_columns(g.standard_normal((dim, m)) + 1j * g.standard_normal((dim, m)))
+    return TrainingSet(TrainingPair(StateVector(x[:, j]), StateVector(y[:, j])) for j in range(m))
+
+
+@st.composite
+def _sets(draw):
+    dim = draw(st.integers(1, 6), label="dim")
+    m = draw(st.one_of(st.just(dim), st.integers(1, 32 * dim)), label="m")
+    rank = draw(st.integers(1, min(dim, m)), label="rank")
+    return _random_set(draw(st.integers(0, 2**32 - 1)), dim, m, rank, draw(st.booleans(), label="consistent"))
+
+
+def test_consistency_tie_goes_to_the_first_pair_in_row_major_order():
+    # inputs |0>..|3> map to |0>, |1>, |1>, |0>: pairs (0, 3) and (1, 2)
+    # both violate by exactly 1; the pairwise loop meets (0, 3) first
+    e = [StateVector.basis(4, k) for k in range(4)]
+    s = TrainingSet(TrainingPair(e[k], e[t]) for k, t in enumerate((0, 1, 1, 0)))
+    rep = consistency_check(s)
+    assert rep.worst_pair == (0, 3) == _pairwise_consistency(s)[1]
+    assert rep.violation == 1.0
+    e0, e1 = StateVector.basis(2, 0), StateVector.basis(2, 1)
+    s = TrainingSet([TrainingPair(e0, e0), TrainingPair(e0, e1), TrainingPair(e0, e0)])
+    assert consistency_check(s).worst_pair == (0, 1) == _pairwise_consistency(s)[1]
+
+
+def test_consistency_of_a_set_that_preserves_every_product_names_no_pair():
+    s = complete_training_set(standard_gate("Toffoli"))
+    rep = consistency_check(s)
+    assert rep.ok and rep.violation == 0.0 and rep.worst_pair is None
+
+
+@given(s=_sets())
+def test_consistency_check_matches_the_pairwise_loop(s):
+    rep = consistency_check(s)
+    worst, worst_pair = _pairwise_consistency(s)
+    assert abs(rep.violation - worst) <= 1e-12
+    assert rep.ok == (rep.violation <= CONSISTENCY_TOL)
+    if worst_pair is None:
+        return
+    # The array path rounds differently; the pair may differ only
+    # between near ties, and then it is as bad as the loop's choice.
+    i, j = rep.worst_pair
+    assert i < j
+    d = abs(np.vdot(s.pairs[i].input.amps, s.pairs[j].input.amps) - np.vdot(s.pairs[i].target.amps, s.pairs[j].target.amps))
+    assert d >= worst - 1e-12
+
+
+@given(s=_sets())
+def test_total_weight_is_the_sum_of_pair_weights(s):
+    ref = sum(pair_weight(p).array for p in s)
+    np.testing.assert_allclose(total_weight(s).array, ref, rtol=0, atol=1e-12 * len(s))
+
+
+@given(s=_sets())
+def test_completeness_matches_the_oracle_rank(s):
+    sv = np.linalg.svd(s.x, compute_uv=False)
+    rank = int(np.sum(sv > DEFAULT_RANK_TOL * max(1.0, sv[0])))
+    if rank < s.dim:
+        want = Completeness.LESS_COMPLETE
+    elif len(s) == s.dim:
+        want = Completeness.COMPLETE
+    else:
+        want = Completeness.OVER_COMPLETE
+    assert s.completeness is want
+
+
+def test_training_set_holds_inputs_and_targets_as_read_only_columns():
+    s = _example1_set()
+    np.testing.assert_array_equal(s.x, np.stack([p.input.amps for p in s], axis=1))
+    np.testing.assert_array_equal(s.y, np.stack([p.target.amps for p in s], axis=1))
+    assert not s.x.flags.writeable and not s.y.flags.writeable
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 8, 16]), data=st.data())
+def test_train_on_less_complete_sets_is_unitary_and_meets_every_target(seed, dim, data):
+    r = data.draw(st.integers(1, dim - 1), label="r")
+    s = _random_set(seed, dim, r, r, consistent=True)
+    assert s.completeness is Completeness.LESS_COMPLETE
+    model = train(s)
+    assert model.rank == r
+    assert is_unitary(model.unitary, 1e-10)
+    assert np.max(np.abs(model.unitary.array @ s.x - s.y)) <= 1e-9

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qperc.errors import NotSquare, NumericalFailure
 from qperc.linalg import Matrix, normalize, outer
-from qperc.svd import polar_unitary, svd
+from qperc.svd import polar_unitary, svd, triangular_factor
 
 SQRT2 = math.sqrt(2.0)
 
@@ -175,3 +177,67 @@ def test_sweep_cap_raises(rng):
         svd(m, max_sweeps=1)
     # a diagonal matrix needs no rotations, so one sweep is enough
     assert svd(Matrix(np.diag([2.0, 1.0])), max_sweeps=1).rank == 2
+
+
+def _oracle_rank(m, rank_tol=1e-10):
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(s > rank_tol * max(1.0, s[0])))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 16), data=st.data())
+def test_rank_deficient_products_are_exact_and_unitary(seed, n, data):
+    # A_{n x r} B_{r x n}: noise columns must be deflated and completed,
+    # never normalized into U.
+    r = data.draw(st.integers(0, n - 1), label="r")
+    g = np.random.default_rng(seed)
+    m = (g.standard_normal((n, r)) + 1j * g.standard_normal((n, r))) @ (
+        g.standard_normal((r, n)) + 1j * g.standard_normal((r, n))
+    )
+    res = svd(Matrix(m))
+    eye = np.eye(n)
+    scale = max(1.0, float(np.linalg.norm(m)))
+    assert np.max(np.abs(_reconstruct(res) - m)) < 1e-12 * scale
+    assert np.max(np.abs(res.u.array @ res.u.array.conj().T - eye)) < 1e-12
+    assert np.max(np.abs(res.v_dag.array @ res.v_dag.array.conj().T - eye)) < 1e-12
+    assert res.rank == r == _oracle_rank(m)
+    np.testing.assert_allclose(res.sigma, np.linalg.svd(m, compute_uv=False), atol=1e-12 * scale)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    kind=st.sampled_from(["graded", "clustered", "ill-conditioned"]),
+)
+def test_prescribed_spectra_match_the_oracle(seed, n, kind):
+    g = np.random.default_rng(seed)
+    if kind == "graded":
+        s = 10.0 ** -np.arange(n)
+    elif kind == "clustered":
+        s = 1.0 + 1e-9 * g.standard_normal(n)
+    else:
+        s = np.concatenate([np.ones(n - 1), [1e-13]])
+    m = _rand_unitary(g, n) @ np.diag(s) @ _rand_unitary(g, n)
+    res = svd(Matrix(m))
+    eye = np.eye(n)
+    assert np.max(np.abs(_reconstruct(res) - m)) < 1e-12
+    assert np.max(np.abs(res.u.array @ res.u.array.conj().T - eye)) < 1e-12
+    assert np.max(np.abs(res.v_dag.array @ res.v_dag.array.conj().T - eye)) < 1e-12
+    np.testing.assert_allclose(res.sigma, np.linalg.svd(m, compute_uv=False), atol=1e-13)
+    assert res.rank == _oracle_rank(m)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), extra=st.integers(0, 120), data=st.data())
+def test_triangular_factor_keeps_the_singular_values(seed, n, extra, data):
+    r = data.draw(st.integers(0, n), label="rank")
+    g = np.random.default_rng(seed)
+    a = (g.standard_normal((n + extra, r)) + 1j * g.standard_normal((n + extra, r))) @ (
+        g.standard_normal((r, n)) + 1j * g.standard_normal((r, n))
+    )
+    t = triangular_factor(a)
+    assert t.shape == (n, n)
+    assert np.all(np.tril(t, -1) == 0)
+    scale = max(1.0, float(np.linalg.norm(a)))
+    np.testing.assert_allclose(t.conj().T @ t, a.conj().T @ a, atol=1e-12 * scale**2)
+    np.testing.assert_allclose(
+        np.linalg.svd(t, compute_uv=False), np.linalg.svd(a, compute_uv=False), atol=1e-12 * scale
+    )
