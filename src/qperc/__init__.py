@@ -39,10 +39,8 @@ from .linalg import (
     Matrix,
     StateVector,
     apply,
-    conj_transpose,
     inner,
     is_unitary,
-    matmul,
     max_abs_diff,
     normalize,
     outer,
@@ -105,7 +103,6 @@ __all__ = [
     "complete_training_set",
     "compose",
     "composite_gate",
-    "conj_transpose",
     "consistency_check",
     "fidelity",
     "fixture",
@@ -113,7 +110,6 @@ __all__ = [
     "inner",
     "is_unitary",
     "iterative_quantum_train",
-    "matmul",
     "max_abs_diff",
     "normalize",
     "oracle_uf",

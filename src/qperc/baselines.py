@@ -38,16 +38,15 @@ class ClassicalResult:
 class IterativeConfig:
     """Knobs for the iterative quantum baseline.
 
-    init selects the starting weight: "zero", "identity" (scaled by
-    init_scale) or "seeded" (complex entries from a seeded normal
-    generator, so runs are reproducible).
+    init selects the starting weight: "zero", "identity" or "seeded"
+    (complex entries from a seeded normal generator, so runs are
+    reproducible).
     """
 
     eta: float = 0.1
     max_iters: int = 1000
     stop_tol: float = 1e-3
     init: str = "zero"
-    init_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -115,7 +114,7 @@ def _initial_weight(dim: int, cfg: IterativeConfig) -> np.ndarray:
     if cfg.init == "zero":
         return np.zeros((dim, dim), dtype=complex)
     if cfg.init == "identity":
-        return cfg.init_scale * np.eye(dim, dtype=complex)
+        return np.eye(dim, dtype=complex)
     rng = np.random.default_rng(cfg.seed)
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 

@@ -10,15 +10,13 @@ Subcommands:
     classify   report the completeness class of a training set
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation/consistency
-failure, 3 numerical failure.  The environment variable QPERC_TOL
-overrides the default per-amplitude tolerance used by validate.
+failure, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from .baselines import IterativeConfig, iterative_quantum_train
@@ -62,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, "%s: error: %s\n" % (self.prog, message))
 
 
-def _rank_tol(text: str) -> float:
+def _tolerance(text: str) -> float:
     try:
         v = float(text)
     except ValueError:
@@ -72,9 +70,22 @@ def _rank_tol(text: str) -> float:
     return v
 
 
+def _seed(text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if v < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer, got %r" % text)
+    return v
+
+
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError("%s: not UTF-8 text (%s)" % (path, e.reason)) from None
 
 
 def _write_out(text: str, path):
@@ -125,18 +136,10 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    tol = args.tol
-    if tol is None and "QPERC_TOL" in os.environ:
-        try:
-            tol = float(os.environ["QPERC_TOL"])
-        except ValueError:
-            raise ParseError(
-                "QPERC_TOL=%r is not a number" % os.environ["QPERC_TOL"]
-            ) from None
     ids = [args.example] if args.example is not None else list(FIXTURE_IDS)
     passed = 0
     for fid in ids:
-        rep = run_fixture(fid, tol)
+        rep = run_fixture(fid, args.tol)
         worst = max(p.max_err for p in rep.pairs)
         print(
             "%-34s %-13s rank %d  pairs %d/%d  max_err %.2e  %s"
@@ -210,7 +213,7 @@ def _build_parser() -> _Parser:
     t = sub.add_parser("train", parents=[], help="learn a model from a training-set file")
     t.add_argument("set", help="training-set JSON file")
     t.add_argument("--out", help="write the model here instead of stdout")
-    t.add_argument("--rank-tol", type=_rank_tol, default=1e-10)
+    t.add_argument("--rank-tol", type=_tolerance, default=1e-10)
     t.add_argument("--force", action="store_true", help="train even if the set is inconsistent")
     t.set_defaults(func=_cmd_train)
 
@@ -223,7 +226,7 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("validate", help="run the built-in worked examples")
     v.add_argument("--example", type=int, choices=FIXTURE_IDS, help="run one example only")
-    v.add_argument("--tol", type=float, help="per-amplitude tolerance (default 1e-9)")
+    v.add_argument("--tol", type=_tolerance, help="per-amplitude tolerance (default 1e-9)")
     v.set_defaults(func=_cmd_validate)
 
     g = sub.add_parser("gate", help="print a library gate")
@@ -234,7 +237,7 @@ def _build_parser() -> _Parser:
     gs = sub.add_parser("gen-set", help="generate a training set from a gate")
     gs.add_argument("gate")
     gs.add_argument("--mode", required=True, choices=("complete", "less", "over"))
-    gs.add_argument("--seed", type=int, default=0)
+    gs.add_argument("--seed", type=_seed, default=0)
     gs.add_argument("--out", help="write the set here instead of stdout")
     gs.set_defaults(func=_cmd_gen_set)
 
@@ -244,7 +247,7 @@ def _build_parser() -> _Parser:
     b.add_argument("--max-iters", type=int, default=1000)
     b.add_argument("--stop-tol", type=float, default=1e-3)
     b.add_argument("--init", choices=("zero", "identity", "seeded"), default="zero")
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_seed, default=0)
     b.set_defaults(func=_cmd_baseline)
 
     c = sub.add_parser("classify", help="report the completeness class of a training set")

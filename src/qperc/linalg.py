@@ -1,6 +1,6 @@
 """Typed complex vectors and matrices plus the handful of operations
-the perceptron needs (conjugate transpose, products, tensor product,
-inner product, unitarity test).
+the perceptron needs (tensor and outer products, inner product,
+matrix-vector product, unitarity test).
 
 Amplitudes are stored as immutable ``numpy`` arrays of ``complex128``.
 Construction validates shape, finiteness and (for states) the norm;
@@ -161,19 +161,6 @@ def normalize(coeffs: Iterable[complex]) -> StateVector:
     if n == 0.0:
         raise ValidationError("cannot normalize the zero vector")
     return StateVector(a / n)
-
-
-def conj_transpose(m: Matrix) -> Matrix:
-    """Conjugate transpose (dagger).  Turns |x> columns into <x| rows."""
-    return Matrix(m.array.conj().T)
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
-        raise DimensionMismatch(
-            "cannot multiply %dx%d by %dx%d" % (a.rows, a.cols, b.rows, b.cols)
-        )
-    return Matrix(a.array @ b.array)
 
 
 def tensor(a: Matrix, b: Matrix) -> Matrix:

@@ -69,10 +69,11 @@ class TrainingSet:
 
     At construction the inputs and targets are stacked as the columns
     of two read-only dim x m arrays, ``x`` and ``y``, and the
-    completeness class is computed once from the numerical rank of x.
+    completeness class is computed once from the numerical rank of x
+    (see :func:`classify_set`).
     """
 
-    def __init__(self, pairs: Iterable[TrainingPair], rank_tol: float = DEFAULT_RANK_TOL):
+    def __init__(self, pairs: Iterable[TrainingPair]):
         pairs = tuple(pairs)
         if not pairs:
             raise ValidationError("training set needs at least one pair")
@@ -86,7 +87,7 @@ class TrainingSet:
         self._dim = dim
         self._x = _columns([p.input.amps for p in pairs])
         self._y = _columns([p.target.amps for p in pairs])
-        self._completeness = classify_set(self._x, rank_tol)
+        self._completeness = classify_set(self._x)
 
     @property
     def pairs(self) -> Tuple[TrainingPair, ...]:
@@ -172,15 +173,16 @@ def total_weight(s: TrainingSet) -> Matrix:
     return Matrix.wrap(s.y @ s.x.conj().T)
 
 
-def classify_set(x: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Completeness:
+def classify_set(x: np.ndarray) -> Completeness:
     """Classify input coverage as less-complete, complete or over-complete.
 
     x holds the inputs as its columns (dim x m).  Fewer than dim inputs
     cannot span the space.  Otherwise the rank is the number of
-    significant singular values of x, taken from a Jacobi SVD of x when
-    it is square, and of the dim x dim R of a Householder QR of x† when
-    it is tall (R has the singular values of x).  The Gram matrix x x†
-    is never formed: it would square the condition number.
+    singular values of x above DEFAULT_RANK_TOL * max(1, sigma_max),
+    taken from a Jacobi SVD of x when it is square, and of the dim x dim
+    R of a Householder QR of x† when it is tall (R has the singular
+    values of x).  The Gram matrix x x† is never formed: it would square
+    the condition number.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.size == 0:
@@ -189,20 +191,21 @@ def classify_set(x: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Completen
     if count < dim:
         return Completeness.LESS_COMPLETE
     a = x if count == dim else triangular_factor(x.conj().T)
-    if svd(Matrix.wrap(a), rank_tol=rank_tol).rank < dim:
+    if svd(Matrix.wrap(a)).rank < dim:
         return Completeness.LESS_COMPLETE
     if count == dim:
         return Completeness.COMPLETE
     return Completeness.OVER_COMPLETE
 
 
-def consistency_check(s: TrainingSet, tol: float = CONSISTENCY_TOL) -> ConsistencyReport:
+def consistency_check(s: TrainingSet) -> ConsistencyReport:
     """Check that the pairs could all have come from one unitary map.
 
     A unitary preserves inner products, so for every i, j the inputs
-    and targets must satisfy <x_i|x_j> = <y_i|y_j> within tol, that is
-    X†X = Y†Y.  The report carries the worst violating pair (the first
-    in row-major order on ties) and its magnitude.
+    and targets must satisfy <x_i|x_j> = <y_i|y_j> within
+    CONSISTENCY_TOL, that is X†X = Y†Y.  The report carries the worst
+    violating pair (the first in row-major order on ties) and its
+    magnitude.
     """
     m = len(s)
     g = s.x.conj().T @ s.x
@@ -214,21 +217,23 @@ def consistency_check(s: TrainingSet, tol: float = CONSISTENCY_TOL) -> Consisten
     k = int(np.argmax(g))
     worst = float(g.flat[k].real)
     worst_pair = divmod(k, m) if worst > 0.0 else None
-    return ConsistencyReport(ok=worst <= tol, worst_pair=worst_pair, violation=worst, tol=tol)
+    return ConsistencyReport(
+        ok=worst <= CONSISTENCY_TOL, worst_pair=worst_pair, violation=worst, tol=CONSISTENCY_TOL
+    )
 
 
 def train(
     s: TrainingSet,
     rank_tol: float = DEFAULT_RANK_TOL,
     force: bool = False,
-    consistency_tol: float = CONSISTENCY_TOL,
 ) -> PerceptronModel:
     """Learn a unitary operator from the training set in one shot.
 
     Accumulates the total weight, takes its SVD once, and sets every
     singular value to one.  Raises InconsistentTrainingSet when the
     pairs cannot come from a single unitary (override with force=True
-    to fit the polar factor of the contradictory weight anyway).
+    to fit the polar factor of the contradictory weight anyway); the
+    slack allowed on inner-product preservation is CONSISTENCY_TOL.
 
     Parameters
     ----------
@@ -237,14 +242,12 @@ def train(
         Passed through to the SVD rank decision.
     force : bool
         Train even if the consistency check fails.
-    consistency_tol : float
-        Slack allowed on inner-product preservation.
 
     Returns
     -------
     PerceptronModel
     """
-    report = consistency_check(s, consistency_tol)
+    report = consistency_check(s)
     if not report.ok and not force:
         raise InconsistentTrainingSet(report)
     w = total_weight(s)

@@ -16,28 +16,37 @@ Model file:
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import Optional
 
-
 from .errors import ParseError, ValidationError
-from .linalg import Matrix, StateVector
+from .linalg import DEFAULT_UNITARY_TOL, Matrix, StateVector, is_unitary, max_abs_diff
 from .perceptron import PerceptronModel, TrainingPair, TrainingSet
+from .svd import numerical_rank
 
 
 def _c2j(z: complex):
     return [float(z.real), float(z.imag)]
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _float(v, where: str) -> float:
+    # JSON integers have no size limit; float() overflows past ~1.8e308.
+    try:
+        return float(v)
+    except OverflowError:
+        raise ParseError("%s: number too large for a float" % where) from None
+
+
 def _j2c(v, where: str) -> complex:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
-    if (
-        isinstance(v, list)
-        and len(v) == 2
-        and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in v)
-    ):
-        return complex(v[0], v[1])
+    if _is_real(v):
+        return complex(_float(v, where))
+    if isinstance(v, list) and len(v) == 2 and all(_is_real(t) for t in v):
+        return complex(_float(v[0], where), _float(v[1], where))
     raise ParseError("%s: expected a number or [re, im], got %r" % (where, v))
 
 
@@ -66,14 +75,25 @@ def _state_from_json(v, where: str) -> StateVector:
 def _matrix_from_json(v, where: str) -> Matrix:
     if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
         raise ParseError("%s: expected an array of rows" % where)
+    if any(len(r) != len(v[0]) for r in v):
+        raise ParseError("%s: rows differ in length" % where)
     return Matrix([[_j2c(t, where) for t in row] for row in v])
 
 
 def _loads(text: str):
+    # ValueError covers JSONDecodeError and integers past Python's
+    # digit limit; RecursionError, arrays nested thousands deep.
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise ParseError("invalid JSON: %s" % e) from None
+
+
+def _dim(doc) -> int:
+    dim = doc["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ParseError("'dim' must be a positive integer")
+    return dim
 
 
 def parse_amplitudes(text: str) -> list:
@@ -113,9 +133,7 @@ def parse_training_set(text: str) -> TrainingSet:
         raise ParseError("top level must be an object")
     if "dim" not in doc or "pairs" not in doc:
         raise ParseError("missing required key 'dim' or 'pairs'")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ParseError("'dim' must be a positive integer")
+    dim = _dim(doc)
     raw_pairs = doc["pairs"]
     if not isinstance(raw_pairs, list) or not raw_pairs:
         raise ParseError("'pairs' must be a non-empty array")
@@ -147,15 +165,21 @@ def serialize_model(m: PerceptronModel) -> str:
 
 
 def parse_model(text: str) -> PerceptronModel:
+    """Parse a model file.
+
+    Raises ParseError when the JSON or its shape is wrong, and
+    ValidationError when the model contradicts itself: "unitary" is
+    not unitary, or differs from f @ w_new, at DEFAULT_UNITARY_TOL;
+    "sigma" is not finite, non-negative and descending; or "rank" is
+    not the number of sigma above rank_tol * max(1, sigma[0]).
+    """
     doc = _loads(text)
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     for key in ("dim", "f", "w_new", "unitary", "sigma", "rank", "rank_tol"):
         if key not in doc:
             raise ParseError("missing required key %r" % key)
-    dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ParseError("'dim' must be a positive integer")
+    dim = _dim(doc)
     f = _matrix_from_json(doc["f"], "f")
     w_new = _matrix_from_json(doc["w_new"], "w_new")
     unitary = _matrix_from_json(doc["unitary"], "unitary")
@@ -163,28 +187,34 @@ def parse_model(text: str) -> PerceptronModel:
         if m.shape != (dim, dim):
             raise ValidationError("%s must be %dx%d, got %dx%d" % ((name, dim, dim) + m.shape))
     sigma = doc["sigma"]
-    if (
-        not isinstance(sigma, list)
-        or len(sigma) != dim
-        or not all(isinstance(s, (int, float)) and not isinstance(s, bool) for s in sigma)
-    ):
+    if not isinstance(sigma, list) or len(sigma) != dim or not all(_is_real(s) for s in sigma):
         raise ValidationError("'sigma' must list %d real values" % dim)
-    if not isinstance(doc["rank"], int) or not 0 <= doc["rank"] <= dim:
-        raise ValidationError("'rank' out of range")
+    sigma = tuple(_float(s, "sigma") for s in sigma)
+    if not all(math.isfinite(s) and s >= 0.0 for s in sigma):
+        raise ValidationError("'sigma' must be finite and non-negative")
+    if any(a < b for a, b in zip(sigma, sigma[1:])):
+        raise ValidationError("'sigma' must be in descending order")
+    rank = doc["rank"]
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise ValidationError("'rank' must be an integer")
     rank_tol = doc["rank_tol"]
     # The chained comparison is exact for ints of any size and false for NaN.
-    if (
-        not isinstance(rank_tol, (int, float))
-        or isinstance(rank_tol, bool)
-        or not 0 <= rank_tol <= sys.float_info.max
-    ):
+    if not _is_real(rank_tol) or not 0 <= rank_tol <= sys.float_info.max:
         raise ValidationError("'rank_tol' must be a finite non-negative number")
+    rank_tol = float(rank_tol)
+    expected = numerical_rank(sigma, rank_tol)
+    if rank != expected:
+        raise ValidationError("'rank' is %r but %d of 'sigma' exceed rank_tol" % (rank, expected))
+    if not is_unitary(unitary):
+        raise ValidationError("'unitary' is not unitary at %g" % DEFAULT_UNITARY_TOL)
+    if max_abs_diff(unitary, f.array @ w_new.array) > DEFAULT_UNITARY_TOL:
+        raise ValidationError("'unitary' differs from f @ w_new by more than %g" % DEFAULT_UNITARY_TOL)
     return PerceptronModel(
         dim=dim,
         f=f,
-        sigma=tuple(float(s) for s in sigma),
+        sigma=sigma,
         w_new=w_new,
         unitary=unitary,
-        rank=doc["rank"],
-        rank_tol=float(rank_tol),
+        rank=rank,
+        rank_tol=rank_tol,
     )

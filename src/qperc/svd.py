@@ -156,6 +156,13 @@ def _complete_null_columns(u: np.ndarray, filled: np.ndarray) -> None:
         filled[i] = True
 
 
+def numerical_rank(sigma, rank_tol: float) -> int:
+    """The number of singular values (given in descending order) above
+    rank_tol * max(1, sigma[0])."""
+    cut = rank_tol * max(1.0, sigma[0])
+    return sum(s > cut for s in sigma)
+
+
 def svd(m: Matrix, rank_tol: float = DEFAULT_RANK_TOL, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
     """Decompose a square complex matrix as u @ diag(sigma) @ v_dag.
 
@@ -178,11 +185,16 @@ def svd(m: Matrix, rank_tol: float = DEFAULT_RANK_TOL, max_sweeps: int = MAX_SWE
         raise NotSquare("svd here is restricted to square matrices, got %dx%d" % m.shape)
     n = m.rows
     # Work at unit Frobenius norm so the convergence thresholds are
-    # scale free and column products cannot underflow.
-    fro = float(np.linalg.norm(m.array))
-    scale = fro if fro > 0.0 else 1.0
+    # scale free and column products cannot underflow.  The norm is
+    # taken after dividing by the largest modulus, because the squares
+    # of entries below about 1e-162 underflow and of those above about
+    # 1e154 overflow.  The scaled copy is dropped before the sweeps.
+    amax = float(np.abs(m.array).max()) or 1.0
+    b = m.array / amax
+    fro = math.sqrt(np.vdot(b, b).real) or 1.0
     av = np.zeros((2 * n, n), dtype=complex, order="F")
-    np.divide(m.array, scale, out=av[:n])
+    np.divide(b, fro, out=av[:n])
+    del b
     np.fill_diagonal(av[n:], 1.0)
     _jacobi_orthogonalize(av, max_sweeps)
 
@@ -207,10 +219,8 @@ def svd(m: Matrix, rank_tol: float = DEFAULT_RANK_TOL, max_sweeps: int = MAX_SWE
     u *= ph
     v *= np.where(live, ph, 1.0)
 
-    values = norms * scale
-    sigma_max = float(values[0])
-    rank = int(np.sum(values > rank_tol * max(1.0, sigma_max)))
-    sigma = tuple(float(x) for x in values)
+    sigma = tuple(float(x) for x in norms * fro * amax)
+    rank = numerical_rank(sigma, rank_tol)
     np.conjugate(v, out=v)
     return SvdResult(
         u=Matrix.wrap(u),
@@ -245,8 +255,9 @@ def triangular_factor(a: np.ndarray) -> np.ndarray:
     return np.triu(a[:n])
 
 
-def polar_unitary(m: Matrix, rank_tol: float = DEFAULT_RANK_TOL):
-    """The unitary polar factor u @ v_dag of m, plus m's numerical rank.
+def polar_unitary(m: Matrix):
+    """The unitary polar factor u @ v_dag of m, plus m's numerical rank
+    at DEFAULT_RANK_TOL.
 
     For full-rank m this is the unique nearest unitary in the Frobenius
     sense; when m is rank deficient the factor is still unitary and
@@ -254,5 +265,5 @@ def polar_unitary(m: Matrix, rank_tol: float = DEFAULT_RANK_TOL):
     value exactly where m/sigma does, while the completion on the null
     space follows the deterministic convention of :func:`svd`.
     """
-    r = svd(m, rank_tol=rank_tol)
+    r = svd(m)
     return Matrix.wrap(r.u.array @ r.v_dag.array), r.rank

@@ -81,7 +81,14 @@ def _error_lines(err):
     return [line for line in err.splitlines() if "error:" in line]
 
 
-@pytest.mark.parametrize("state", ['["a", 1]', "[[1]]", "[1, [0]]", "[true, 1]", "{}", "[]", "[0, 0]"])
+# A JSON integer too large for a float.
+BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "state",
+    ['["a", 1]', "[[1]]", "[1, [0]]", "[true, 1]", "{}", "[]", "[0, 0]", pytest.param("[%s, 0]" % BIG, id="400-digit")],
+)
 def test_predict_normalize_rejects_malformed_amplitudes(tmp_path, capsys, state):
     set_path = _write_set(tmp_path, "h.json", "H", "complete")
     out = tmp_path / "model.json"
@@ -112,6 +119,65 @@ def test_train_rejects_non_finite_or_negative_rank_tol(tmp_path, capsys, rank_to
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(_error_lines(captured.err)) == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_validate_rejects_non_finite_or_negative_tol(capsys, tol):
+    assert main(["validate", "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(_error_lines(captured.err)) == 1
+
+
+@pytest.mark.parametrize("command", ["gen-set", "baseline"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    args = ["gen-set", "h", "--mode", "over"] if command == "gen-set" else [
+        "baseline", _write_set(tmp_path, "h.json", "H", "complete"), "--init", "seeded"
+    ]
+    assert main(args + ["--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(_error_lines(captured.err)) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(b'{"dim": 2, "note": "caf\xe9"}', id="not-utf-8"),
+        pytest.param(("[" * 5000 + "]" * 5000).encode(), id="nested-5000-deep"),
+        pytest.param(('{"dim": 1, "pairs": [{"x": [%s], "y": [1]}]}' % BIG).encode(), id="400-digit-amplitude"),
+        pytest.param(('{"dim": 1, "pairs": [{"x": [[0, %s]], "y": [1]}]}' % BIG).encode(), id="400-digit-imaginary"),
+        pytest.param(('{"dim": 1, "pairs": [{"x": [1%s], "y": [1]}]}' % ("0" * 5000)).encode(), id="5000-digit-integer"),
+        pytest.param(b'{"dim": true, "pairs": [{"x": [1], "y": [1]}]}', id="dim-true"),
+    ],
+)
+def test_malformed_set_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    assert main(["classify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(_error_lines(captured.err)) == 1
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda doc: doc.update(f=[[1, 0], [0]]), id="ragged-row"),
+        pytest.param(lambda doc: doc["sigma"].__setitem__(0, "BIG"), id="400-digit-sigma"),
+    ],
+)
+def test_malformed_model_file_exits_2(tmp_path, capsys, edit):
+    set_path = _write_set(tmp_path, "h.json", "H", "complete")
+    out = tmp_path / "model.json"
+    main(["train", set_path, "--out", str(out)])
+    doc = json.loads(out.read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"BIG"', BIG))
+    capsys.readouterr()
+    assert main(["predict", str(bad), "--state", "[1, 0]"]) == 2
+    assert len(_error_lines(capsys.readouterr().err)) == 1
 
 
 def test_predict_wrong_dimension_state(tmp_path, capsys):
@@ -148,19 +214,6 @@ def test_validate_single_example_prints_note(capsys):
 def test_validate_respects_tol_flag(capsys):
     assert main(["validate", "--example", "1", "--tol", "1e-20"]) == 2
     assert "FAIL" in capsys.readouterr().out
-
-
-def test_validate_env_tolerance_override(monkeypatch, capsys):
-    monkeypatch.setenv("QPERC_TOL", "1e-20")
-    assert main(["validate", "--example", "1"]) == 2
-    capsys.readouterr()
-    # explicit flag wins over the environment
-    assert main(["validate", "--example", "1", "--tol", "1e-9"]) == 0
-
-
-def test_validate_rejects_bad_env_tolerance(monkeypatch, capsys):
-    monkeypatch.setenv("QPERC_TOL", "not-a-number")
-    assert main(["validate"]) == 2
 
 
 def test_classify_command(tmp_path, capsys):

@@ -8,10 +8,8 @@ from qperc.linalg import (
     Matrix,
     StateVector,
     apply,
-    conj_transpose,
     inner,
     is_unitary,
-    matmul,
     max_abs_diff,
     normalize,
     outer,
@@ -80,46 +78,6 @@ def test_matrix_wrap_shares_the_array_and_freezes_only_its_view():
         Matrix.wrap(np.array([[1.0, np.nan]], dtype=complex))
     with pytest.raises(ValidationError):
         Matrix.wrap(np.ones(2, dtype=complex))
-
-
-def test_conj_transpose_turns_ket_into_bra():
-    ket0 = Matrix([[1], [0]])
-    bra0 = conj_transpose(ket0)
-    np.testing.assert_array_equal(bra0.array, [[1, 0]])
-
-
-def test_conj_transpose_of_s_gate():
-    np.testing.assert_array_equal(conj_transpose(S).array, np.diag([1.0, -1.0j]))
-
-
-def test_conj_transpose_is_involution(rng):
-    m = Matrix(rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
-    np.testing.assert_array_equal(conj_transpose(conj_transpose(m)).array, m.array)
-
-
-def test_dagger_of_product_reverses_factors(rng):
-    a = Matrix(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    b = Matrix(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    lhs = conj_transpose(matmul(a, b))
-    rhs = matmul(conj_transpose(b), conj_transpose(a))
-    np.testing.assert_allclose(lhs.array, rhs.array, atol=1e-12)
-
-
-def test_matmul_h_squared_is_identity():
-    np.testing.assert_allclose(matmul(H, H).array, np.eye(2), atol=1e-15)
-
-
-def test_matmul_known_factor_pair_gives_hadamard():
-    # factor pair of the example-1 accumulated weight; their product
-    # must come out as H exactly
-    f = Matrix(np.array([[-3 / SQRT2, 1 / SQRT2], [1 / SQRT2, 3 / SQRT2]]) / math.sqrt(5))
-    w_new = Matrix(np.array([[-1, -2], [2, -1]]) / math.sqrt(5))
-    np.testing.assert_allclose(matmul(f, w_new).array, H.array, atol=1e-15)
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        matmul(Matrix([[1, 2]]), Matrix([[1, 2]]))
 
 
 def test_tensor_of_basis_states():

@@ -140,3 +140,60 @@ def test_parse_state_rejects_bad_input():
         parse_state('[[1, 0, 0]]')
     with pytest.raises(ValidationError):
         parse_state("[0.5, 0.5]")
+
+
+def _trained_model_doc():
+    # A less-complete CNOT set of two pairs: rank 2 of 4, so sigma ends
+    # in zeros.
+    model = train(generate_set(standard_gate("CNOT"), "less", seed=3))
+    doc = json.loads(serialize_model(model))
+    assert parse_model(json.dumps(doc)).rank == model.rank == 2
+    return doc
+
+
+def _set_sigma(k, value):
+    def edit(doc):
+        doc["sigma"][k] = value
+    return edit
+
+
+def _swap_first_two_sigma(doc):
+    doc["sigma"][0], doc["sigma"][1] = doc["sigma"][1], doc["sigma"][0]
+
+
+TWICE_IDENTITY = [[[2.0 * (i == j), 0.0] for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda doc: doc.update(unitary=TWICE_IDENTITY), id="unitary-2I"),
+        pytest.param(lambda doc: doc.update(unitary=doc["f"]), id="unitary-not-f-w_new"),
+        pytest.param(_set_sigma(0, "1e999"), id="sigma-inf"),
+        pytest.param(_set_sigma(0, "NaN"), id="sigma-nan"),
+        pytest.param(_set_sigma(-1, -1e-3), id="sigma-negative"),
+        pytest.param(_swap_first_two_sigma, id="sigma-ascending"),
+        pytest.param(lambda doc: doc.update(rank=doc["rank"] + 1), id="rank-too-high"),
+        pytest.param(lambda doc: doc.update(rank=doc["rank"] - 1), id="rank-too-low"),
+        pytest.param(lambda doc: doc.update(rank_tol=0.5), id="rank_tol-changes-rank"),
+    ],
+)
+def test_model_that_contradicts_itself_is_rejected(edit):
+    doc = _trained_model_doc()
+    edit(doc)
+    # json.dumps quotes the two non-finite spellings; unquote them.
+    text = json.dumps(doc).replace('"1e999"', "1e999").replace('"NaN"', "NaN")
+    with pytest.raises(ValidationError):
+        parse_model(text)
+
+
+def test_dim_true_is_rejected():
+    s = TrainingSet([TrainingPair(normalize([1]), normalize([1]))])
+    set_doc = json.loads(serialize_training_set(s))
+    model_doc = json.loads(serialize_model(train(s)))
+    assert parse_training_set(json.dumps(set_doc)).dim == 1
+    assert parse_model(json.dumps(model_doc)).dim == 1
+    with pytest.raises(ParseError):
+        parse_training_set(json.dumps(dict(set_doc, dim=True)))
+    with pytest.raises(ParseError):
+        parse_model(json.dumps(dict(model_doc, dim=True)))

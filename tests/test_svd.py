@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,3 +242,29 @@ def test_triangular_factor_keeps_the_singular_values(seed, n, extra, data):
     np.testing.assert_allclose(
         np.linalg.svd(t, compute_uv=False), np.linalg.svd(a, compute_uv=False), atol=1e-12 * scale
     )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 24),
+    c=st.sampled_from([1e-200, 1e-100, 1e100, 1e160]),
+    data=st.data(),
+)
+def test_sigma_scales_with_the_input_without_overflow_or_underflow(seed, n, c, data):
+    # The squares of entries near 1e-200 underflow and those near 1e160
+    # overflow, so the scale must be taken without squaring the input.
+    r = data.draw(st.integers(0, n), label="r")
+    g = np.random.default_rng(seed)
+    m = (g.standard_normal((n, r)) + 1j * g.standard_normal((n, r))) @ (
+        g.standard_normal((r, n)) + 1j * g.standard_normal((r, n))
+    )
+    base = svd(Matrix(m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = svd(Matrix(c * m))
+    np.testing.assert_allclose(
+        res.sigma, c * np.asarray(base.sigma), rtol=0, atol=1e-12 * c * base.sigma[0]
+    )
+    # The rank cutoff is rank_tol * max(1, sigma[0]): absolute below 1,
+    # relative above.
+    assert res.rank == (0 if c < 1 else base.rank)
