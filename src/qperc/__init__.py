@@ -43,7 +43,6 @@ from .linalg import (
     is_unitary,
     max_abs_diff,
     normalize,
-    outer,
     tensor,
 )
 from .perceptron import (
@@ -55,7 +54,6 @@ from .perceptron import (
     classify_set,
     consistency_check,
     fidelity,
-    pair_weight,
     predict,
     total_weight,
     train,
@@ -113,8 +111,6 @@ __all__ = [
     "max_abs_diff",
     "normalize",
     "oracle_uf",
-    "outer",
-    "pair_weight",
     "parse_model",
     "parse_state",
     "parse_training_set",

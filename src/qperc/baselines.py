@@ -10,6 +10,7 @@ contrast the one-shot method is meant to show.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -50,12 +51,12 @@ class IterativeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta < 0.0:
-            raise ValidationError("eta must be nonnegative")
+        if not (math.isfinite(self.eta) and self.eta >= 0.0):
+            raise ValidationError("eta must be finite and nonnegative")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be at least 1")
-        if self.stop_tol < 0.0:
-            raise ValidationError("stop_tol must be nonnegative")
+        if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0.0):
+            raise ValidationError("stop_tol must be finite and nonnegative")
         if self.init not in _INIT_MODES:
             raise ValidationError("init must be one of %s" % (_INIT_MODES,))
 

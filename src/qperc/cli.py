@@ -243,9 +243,9 @@ def _build_parser() -> _Parser:
 
     b = sub.add_parser("baseline", help="run the iterative baseline on a training set")
     b.add_argument("set", help="training-set JSON file")
-    b.add_argument("--eta", type=float, default=0.1)
+    b.add_argument("--eta", type=_tolerance, default=0.1)
     b.add_argument("--max-iters", type=int, default=1000)
-    b.add_argument("--stop-tol", type=float, default=1e-3)
+    b.add_argument("--stop-tol", type=_tolerance, default=1e-3)
     b.add_argument("--init", choices=("zero", "identity", "seeded"), default="zero")
     b.add_argument("--seed", type=_seed, default=0)
     b.set_defaults(func=_cmd_baseline)

@@ -1,5 +1,5 @@
 """Typed complex vectors and matrices plus the handful of operations
-the perceptron needs (tensor and outer products, inner product,
+the perceptron needs (tensor product, inner product,
 matrix-vector product, unitarity test).
 
 Amplitudes are stored as immutable ``numpy`` arrays of ``complex128``.
@@ -166,11 +166,6 @@ def normalize(coeffs: Iterable[complex]) -> StateVector:
 def tensor(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker (tensor) product, row-major block layout."""
     return Matrix(np.kron(a.array, b.array))
-
-
-def outer(y: StateVector, x: StateVector) -> Matrix:
-    """|y><x|: the rank-one map sending |x> to |y> (for unit |x>)."""
-    return Matrix(np.outer(y.amps, x.amps.conj()))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentTrainingSet, ValidationError
-from .linalg import Matrix, StateVector, apply, inner, max_abs_diff, outer
+from .linalg import Matrix, StateVector, apply, inner, max_abs_diff
 from .svd import DEFAULT_RANK_TOL, svd, triangular_factor
 
 # Pairwise inner-product preservation slack accepted by train().
@@ -161,11 +161,6 @@ def _columns(vectors) -> np.ndarray:
     a = np.stack(vectors, axis=1)
     a.setflags(write=False)
     return a
-
-
-def pair_weight(p: TrainingPair) -> Matrix:
-    """The rank-one weight |target><input| contributed by one pair."""
-    return outer(p.target, p.input)
 
 
 def total_weight(s: TrainingSet) -> Matrix:

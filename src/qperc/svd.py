@@ -19,6 +19,18 @@ rounding; it is deflated, that is, never rotated again, and its U
 direction is completed from the canonical basis instead of normalized
 (LAPACK's zgesvj deflates in the same way).
 
+Two kernels sweep the pairs, with the same stop test, deflation and
+rotation.  Below order _VECTOR_MIN, :func:`_jacobi_orthogonalize`
+visits the pairs one at a time in row order.  From _VECTOR_MIN on,
+:func:`_jacobi_rounds` takes each sweep in the round-robin order of
+Brent and Luk ("The solution of singular-value and symmetric
+eigenvalue problems on multiprocessor arrays", SIAM J. Sci. Stat.
+Comput. 1985): n - 1 rounds of n/2 pairs that share no column, each
+round tested and rotated by a few array operations.  The array
+operations cost more per call than the scalar loop's, so the scalar
+loop is faster on small matrices.  Both end at the same contract
+below, and their factors agree to rounding wherever the SVD is unique.
+
 The output is made deterministic: singular values are sorted in
 descending order (stable towards the original column order on ties) and
 each column of U is rotated so that its largest-modulus entry is real
@@ -33,6 +45,7 @@ taken from a Jacobi SVD of R (the preconditioning of Drmač and Veselić,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +67,11 @@ MAX_SWEEPS = 100
 DEFAULT_RANK_TOL = 1e-10
 
 _EPS = np.finfo(float).eps
+
+# From this order on, svd sweeps by the rounds of _jacobi_rounds.  Below
+# it the pair-at-a-time loop is faster, because a round's array calls
+# cost more than they save on few pairs (the two meet near n = 9).
+_VECTOR_MIN = 10
 
 
 @dataclass(frozen=True)
@@ -131,6 +149,98 @@ def _jacobi_orthogonalize(av: np.ndarray, max_sweeps: int) -> None:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _rounds(n: int) -> tuple:
+    """One round-robin sweep over the column pairs of n columns, as a
+    tuple of rounds.  A round is an index array [p, q] of 2k distinct
+    columns that pairs p[i] < q[i]; every pair p < q < n occurs in
+    exactly one round.
+
+    Column 0 stays put while the others turn one place per round (the
+    order of Brent and Luk).  Odd n is padded with a dummy column, and
+    the pair that touches it is left out of its round.
+    """
+    m = n + n % 2
+    ring = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = [
+            (min(i, j), max(i, j))
+            for i, j in zip(ring[: m // 2], reversed(ring[m // 2 :]))
+            if max(i, j) < n
+        ]
+        rounds.append(np.array(pairs, dtype=np.intp).reshape(-1, 2).T.ravel())
+        ring = ring[:1] + ring[-1:] + ring[1:-1]
+    return tuple(rounds)
+
+
+def _rotate(x: np.ndarray, pq: np.ndarray, xpq: np.ndarray, c, to_q, to_p) -> None:
+    """Rotate the k column pairs (p, q) of x, pq = [p, q], given
+    xpq = x[:, pq]: x_p <- c x_p - to_p x_q and x_q <- c x_q + to_q x_p.
+    The coefficients are complex, so no ufunc needs a cast buffer."""
+    k = len(c)
+    xp = xpq[:, :k]
+    xq = xpq[:, k:]
+    from_q = xq * to_p
+    xq *= c
+    xq += xp * to_q
+    xp *= c
+    xp -= from_q
+    x[:, pq] = xpq
+
+
+def _jacobi_rounds(av: np.ndarray, max_sweeps: int) -> None:
+    """The contract of :func:`_jacobi_orthogonalize`, with each sweep
+    taken as the rounds of :func:`_rounds`.  The pairs of a round share
+    no column, so all of them are tested and rotated by a few array
+    operations at once, the a half first and then the v half.  Each
+    temporary is dropped once spent and the rotation is done in place,
+    so at most one gathered half and two products of its size are
+    alive at once: the rounds run inside training, whose peak memory
+    is measured."""
+    n = av.shape[1]
+    a = av[:n]
+    v = av[n:]
+    tiny = (n * _EPS) ** 2
+    for _ in range(max_sweeps):
+        rotated = False
+        for pq in _rounds(n):
+            k = len(pq) // 2
+            apq = a[:, pq]
+            apqc = apq.conj()
+            norms = np.einsum("ij,ij->j", apqc, apq).real
+            gamma = np.einsum("ij,ij->j", apqc[:, :k], apq[:, k:])
+            del apqc
+            alpha = norms[:k]
+            beta = norms[k:]
+            g = np.abs(gamma)
+            live = (alpha > tiny) & (beta > tiny) & (g > ORTH_TOL * np.sqrt(alpha * beta))
+            kept = np.count_nonzero(live)
+            if not kept:
+                continue
+            if kept < k:
+                pq = pq[np.concatenate((live, live))]
+                apq = a[:, pq]
+                alpha, beta, gamma, g = alpha[live], beta[live], gamma[live], g[live]
+            # The rotation of the scalar kernel, one per pair; at
+            # alpha == beta, tau is +0 and t comes out as 1.
+            tau = (beta - alpha) / (2.0 * g)
+            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            to_q = (c * t) * (gamma / g)
+            to_p = to_q.conj()
+            c = c.astype(complex)
+            _rotate(a, pq, apq, c, to_q, to_p)
+            del apq
+            _rotate(v, pq, v[:, pq], c, to_q, to_p)
+            rotated = True
+        if not rotated:
+            return
+    raise NumericalFailure(
+        "Jacobi SVD did not converge within %d sweeps" % max_sweeps
+    )
+
+
 def _complete_null_columns(u: np.ndarray, filled: np.ndarray) -> None:
     """Fill the columns of u marked False in `filled` with unit vectors
     orthogonal to everything already present, in column order.
@@ -196,7 +306,10 @@ def svd(m: Matrix, rank_tol: float = DEFAULT_RANK_TOL, max_sweeps: int = MAX_SWE
     np.divide(b, fro, out=av[:n])
     del b
     np.fill_diagonal(av[n:], 1.0)
-    _jacobi_orthogonalize(av, max_sweeps)
+    if n >= _VECTOR_MIN:
+        _jacobi_rounds(av, max_sweeps)
+    else:
+        _jacobi_orthogonalize(av, max_sweeps)
 
     norms = np.linalg.norm(av[:n], axis=0)
     order = np.argsort(-norms, kind="stable")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,11 @@ def test_config_validation():
         IterativeConfig(stop_tol=-1e-3)
     with pytest.raises(ValidationError):
         IterativeConfig(init="random")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            IterativeConfig(eta=bad)
+        with pytest.raises(ValidationError):
+            IterativeConfig(stop_tol=bad)
     IterativeConfig(eta=0.0)  # zero step size is allowed
 
 

@@ -279,6 +279,18 @@ def test_baseline_command_reports_unitarity_verdict(tmp_path, capsys):
     assert "final weight unitary at 1e-06: no" in out
 
 
+@pytest.mark.parametrize(
+    "flags", [["--eta", "nan"], ["--eta", "inf", "--stop-tol", "0"], ["--stop-tol", "nan"], ["--eta", "-1"]]
+)
+def test_baseline_rejects_non_finite_or_negative_step_and_stop(tmp_path, capsys, flags):
+    set_path = _write_set(tmp_path, "h.json", "H", "complete")
+    capsys.readouterr()
+    assert main(["baseline", set_path] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(_error_lines(captured.err)) == 1
+
+
 def test_baseline_divergence_exits_3(tmp_path, capsys):
     set_path = _write_set(tmp_path, "h.json", "H", "complete")
     assert main(["baseline", set_path, "--eta", "5.0", "--stop-tol", "0"]) == 3

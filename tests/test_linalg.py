@@ -12,7 +12,6 @@ from qperc.linalg import (
     is_unitary,
     max_abs_diff,
     normalize,
-    outer,
     tensor,
 )
 
@@ -101,14 +100,6 @@ def test_tensor_is_associative(rng):
     left = tensor(tensor(a, b), c)
     right = tensor(a, tensor(b, c))
     np.testing.assert_array_equal(left.array, right.array)
-
-
-def test_outer_maps_input_to_target():
-    y = normalize([1, 1])
-    x = StateVector.basis(2, 0)
-    w = outer(y, x)
-    np.testing.assert_allclose(w.array, [[1 / SQRT2, 0], [1 / SQRT2, 0]])
-    np.testing.assert_allclose(apply(w, x).amps, y.amps)
 
 
 def test_inner_orthogonal_and_self():

@@ -1,4 +1,8 @@
+import gc
+import importlib
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,10 +11,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qperc.errors import NotSquare, NumericalFailure
-from qperc.linalg import Matrix, normalize, outer
+from qperc.linalg import Matrix, normalize
 from qperc.svd import polar_unitary, svd, triangular_factor
 
+# The module itself: the package exports a function of the same name.
+svd_module = importlib.import_module("qperc.svd")
+
 SQRT2 = math.sqrt(2.0)
+
+# _VECTOR_MIN settings that force svd onto one kernel at every order.
+KERNELS = {"scalar": 10**9, "rounds": 2}
 
 # accumulated weight of worked example 1; its singular values are
 # exactly 2 and 1 and its polar factor is the Hadamard gate
@@ -145,7 +155,7 @@ def test_polar_factor_matches_inverse_sqrt_construction(rng):
 def test_rank_one_outer_product():
     x = normalize([-11, 7])
     y = normalize([-4, -18])
-    w = outer(y, x)
+    w = Matrix(np.outer(y.amps, x.amps.conj()))
     r = svd(w)
     assert r.rank == 1
     np.testing.assert_allclose(r.sigma, (1.0, 0.0), atol=1e-12)
@@ -154,7 +164,7 @@ def test_rank_one_outer_product():
 
 
 def test_null_space_completion_is_deterministic():
-    w = outer(normalize([1, 2, 3]), normalize([3, 1, 1]))
+    w = Matrix(np.outer(normalize([1, 2, 3]).amps, normalize([3, 1, 1]).amps.conj()))
     r1 = svd(w)
     r2 = svd(Matrix(w.array.copy()))
     np.testing.assert_array_equal(r1.u.array, r2.u.array)
@@ -268,3 +278,105 @@ def test_sigma_scales_with_the_input_without_overflow_or_underflow(seed, n, c, d
     # The rank cutoff is rank_tol * max(1, sigma[0]): absolute below 1,
     # relative above.
     assert res.rank == (0 if c < 1 else base.rank)
+
+
+def test_rounds_cover_every_pair_once_in_disjoint_rounds():
+    for n in range(2, 66):
+        rounds = svd_module._rounds(n)
+        assert len(rounds) == n - 1 + n % 2
+        pairs = []
+        for pq in rounds:
+            k = len(pq) // 2
+            p, q = pq[:k], pq[k:]
+            assert len(set(pq.tolist())) == len(pq)
+            assert np.all(p < q) and np.all(q < n)
+            pairs += zip(p.tolist(), q.tolist())
+        assert sorted(pairs) == list(itertools.combinations(range(n), 2))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(9, 40),
+    kind=st.sampled_from(["full", "deficient", "graded", "clustered"]),
+    data=st.data(),
+)
+def test_round_robin_kernel_matches_the_oracle(seed, n, kind, data):
+    g = np.random.default_rng(seed)
+    if kind == "full":
+        m = _rand_complex(g, n)
+    elif kind == "deficient":
+        r = data.draw(st.integers(0, n - 1), label="r")
+        m = (g.standard_normal((n, r)) + 1j * g.standard_normal((n, r))) @ (
+            g.standard_normal((r, n)) + 1j * g.standard_normal((r, n))
+        )
+    else:
+        s = 10.0 ** -np.linspace(0, 9, n) if kind == "graded" else 1.0 + 1e-9 * g.standard_normal(n)
+        m = _rand_unitary(g, n) @ np.diag(s) @ _rand_unitary(g, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svd_module, "_VECTOR_MIN", KERNELS["rounds"])
+        res = svd(Matrix(m))
+    oracle = np.linalg.svd(m, compute_uv=False)
+    scale = max(1.0, oracle[0])
+    eye = np.eye(n)
+    np.testing.assert_allclose(res.sigma, oracle, rtol=0, atol=1e-12 * scale)
+    assert np.max(np.abs(_reconstruct(res) - m)) < 1e-12 * scale
+    assert np.max(np.abs(res.u.array @ res.u.array.conj().T - eye)) < 1e-12
+    assert np.max(np.abs(res.v_dag.array @ res.v_dag.array.conj().T - eye)) < 1e-12
+    assert res.rank == _oracle_rank(m)
+
+
+@pytest.mark.parametrize(
+    "diagonal",
+    [
+        np.ones(12),
+        np.array([2.0, 2.0] + [1.0] * 10),
+        np.array([1.0, 2.0j, -2.0, 1.0, 0.0, 3.0, -3.0j] + [0.5] * 6),
+    ],
+    ids=["identity", "leading-tie", "phased-ties"],
+)
+def test_kernels_agree_on_exact_ties(monkeypatch, diagonal):
+    # Neither kernel rotates a diagonal matrix, so the stable sort and
+    # the phase convention alone fix the factors, bit for bit.
+    m = Matrix(np.diag(diagonal))
+    results = []
+    for setting in KERNELS.values():
+        monkeypatch.setattr(svd_module, "_VECTOR_MIN", setting)
+        results.append(svd(m))
+    scalar, rounds = results
+    assert scalar.sigma == rounds.sigma
+    np.testing.assert_allclose(scalar.sigma, sorted(np.abs(diagonal), reverse=True), rtol=1e-15)
+    np.testing.assert_array_equal(scalar.u.array, rounds.u.array)
+    np.testing.assert_array_equal(scalar.v_dag.array, rounds.v_dag.array)
+    np.testing.assert_allclose(_reconstruct(rounds), m.array, atol=1e-15)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_sweep_cap_raises_on_either_kernel(rng, monkeypatch, kernel):
+    monkeypatch.setattr(svd_module, "_VECTOR_MIN", KERNELS[kernel])
+    with pytest.raises(NumericalFailure):
+        svd(Matrix(_rand_complex(rng, 32)), max_sweeps=1)
+
+
+def test_round_robin_kernel_peak_memory_stays_under_twice_its_work_array(rng):
+    # The kernel gathers, rotates and scatters one round at a time; its
+    # transients must stay well below a second copy of the work array.
+    n = 32
+
+    def work_array():
+        av = np.zeros((2 * n, n), dtype=complex, order="F")
+        m = _rand_complex(rng, n)
+        av[:n] = m / np.linalg.norm(m)
+        np.fill_diagonal(av[n:], 1.0)
+        return av
+
+    svd_module._jacobi_rounds(work_array(), svd_module.MAX_SWEEPS)  # fill the schedule cache
+    av = work_array()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        svd_module._jacobi_rounds(av, svd_module.MAX_SWEEPS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2 * av.nbytes
