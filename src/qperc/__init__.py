@@ -6,14 +6,11 @@ unitary polar factor through a single SVD.
 """
 
 from .baselines import (
-    ClassicalResult,
     IterativeConfig,
     IterativeResult,
-    classical_perceptron_train,
     iterative_quantum_train,
 )
 from .errors import (
-    BadTableLength,
     DimensionMismatch,
     DivergenceDetected,
     InconsistentTrainingSet,
@@ -32,7 +29,6 @@ from .gates import (
     compose,
     composite_gate,
     generate_set,
-    oracle_uf,
     standard_gate,
 )
 from .linalg import (
@@ -70,8 +66,6 @@ from .svd import SvdResult, polar_unitary, svd
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadTableLength",
-    "ClassicalResult",
     "Completeness",
     "ConsistencyReport",
     "DimensionMismatch",
@@ -96,7 +90,6 @@ __all__ = [
     "ValidationError",
     "all_fixtures",
     "apply",
-    "classical_perceptron_train",
     "classify_set",
     "complete_training_set",
     "compose",
@@ -110,7 +103,6 @@ __all__ = [
     "iterative_quantum_train",
     "max_abs_diff",
     "normalize",
-    "oracle_uf",
     "parse_model",
     "parse_state",
     "parse_training_set",

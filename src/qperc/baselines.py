@@ -1,18 +1,18 @@
-"""Baselines the one-shot perceptron is measured against.
+"""The baseline the one-shot perceptron is measured against.
 
-Two are provided: the classical threshold perceptron with the usual
-error-driven update rule, and an iterative gradient-style rule on a
-complex weight matrix, w <- w + eta (|y> - w|x>) <x|, applied pair by
-pair.  The iterative rule approaches the target map only in the limit
-and its final weight is generally not unitary, which is exactly the
-contrast the one-shot method is meant to show.
+It stands for the iterative quantum perceptron algorithms: a
+gradient-style rule on a complex weight matrix,
+w <- w + eta (|y> - w|x>) <x|, applied pair by pair.  The iterative
+rule approaches the target map only in the limit and its final weight
+is generally not unitary, which is exactly the contrast the one-shot
+method is meant to show.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,15 +24,6 @@ from .perceptron import TrainingSet
 DIVERGENCE_LIMIT = 1e6
 
 _INIT_MODES = ("zero", "identity", "seeded")
-
-
-@dataclass(frozen=True)
-class ClassicalResult:
-    """Outcome of classical perceptron training."""
-
-    weights: Tuple[float, ...]
-    iterations: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -73,42 +64,6 @@ class IterativeResult:
     weight: Matrix
     iterations: int
     final_error: float
-
-
-def classical_perceptron_train(
-    samples: Sequence[Tuple[Sequence[float], int]],
-    eta: float = 0.1,
-    theta: float = 0.0,
-    max_iters: int = 100,
-) -> ClassicalResult:
-    """Train a single threshold unit on +/-1 labelled samples.
-
-    Each sample is (inputs, label).  Prediction is +1 when
-    sum(w_j x_j) - theta > 0 and -1 otherwise; every mistake updates
-    w += eta (label - prediction) x.  Weights start at zero so runs
-    are deterministic.  converged means some pass made no mistakes;
-    iterations counts the passes executed, that clean pass included.
-    """
-    if not samples:
-        raise ValidationError("need at least one sample")
-    n = len(samples[0][0])
-    for x, y in samples:
-        if len(x) != n:
-            raise ValidationError("all samples must share one input length")
-        if y not in (-1, 1):
-            raise ValidationError("labels must be +1 or -1")
-    w = np.zeros(n)
-    for t in range(1, max_iters + 1):
-        mistakes = 0
-        for x, y in samples:
-            z = float(np.dot(w, x)) - theta
-            pred = 1 if z > 0.0 else -1
-            if pred != y:
-                w = w + eta * (y - pred) * np.asarray(x, dtype=float)
-                mistakes += 1
-        if mistakes == 0:
-            return ClassicalResult(tuple(float(v) for v in w), t, True)
-    return ClassicalResult(tuple(float(v) for v in w), max_iters, False)
 
 
 def _initial_weight(dim: int, cfg: IterativeConfig) -> np.ndarray:

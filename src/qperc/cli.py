@@ -21,7 +21,6 @@ import sys
 
 from .baselines import IterativeConfig, iterative_quantum_train
 from .errors import (
-    BadTableLength,
     DimensionMismatch,
     DivergenceDetected,
     InconsistentTrainingSet,
@@ -114,7 +113,7 @@ def _state_lines(x) -> str:
 
 def _cmd_train(args) -> int:
     s = parse_training_set(_read_text(args.set))
-    model = train_model(s, rank_tol=args.rank_tol, force=args.force)
+    model = train_model(s, force=args.force)
     _write_out(serialize_model(model), args.out)
     return 0
 
@@ -213,7 +212,6 @@ def _build_parser() -> _Parser:
     t = sub.add_parser("train", parents=[], help="learn a model from a training-set file")
     t.add_argument("set", help="training-set JSON file")
     t.add_argument("--out", help="write the model here instead of stdout")
-    t.add_argument("--rank-tol", type=_tolerance, default=1e-10)
     t.add_argument("--force", action="store_true", help="train even if the set is inconsistent")
     t.set_defaults(func=_cmd_train)
 
@@ -268,7 +266,7 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     try:
         return args.func(args)
-    except (UnknownGate, BadTableLength, PlacementOutOfRange) as e:
+    except (UnknownGate, PlacementOutOfRange) as e:
         print("error: %s" % e, file=sys.stderr)
         return USAGE_EXIT
     except (ParseError, ValidationError, InconsistentTrainingSet, DimensionMismatch) as e:

@@ -21,12 +21,8 @@ class UnknownGate(QpercError):
     """Requested gate name is not in the library."""
 
 
-class BadTableLength(QpercError):
-    """Truth table is malformed (length not a power of two, or values not 0/1)."""
-
-
 class PlacementOutOfRange(QpercError):
-    """A gate placement does not fit inside the register."""
+    """A gate is placed at a negative qubit offset."""
 
 
 class InconsistentTrainingSet(QpercError):

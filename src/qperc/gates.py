@@ -14,7 +14,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import BadTableLength, PlacementOutOfRange, UnknownGate, ValidationError
+from .errors import PlacementOutOfRange, UnknownGate, ValidationError
 from .linalg import Matrix, StateVector, apply, is_unitary, tensor
 from .perceptron import TrainingPair, TrainingSet
 
@@ -109,46 +109,22 @@ def standard_gate(name: str) -> GateSpec:
     return GateSpec(canon, qubits, build())
 
 
-def oracle_uf(table: Sequence[int]) -> GateSpec:
-    """The reversible oracle |x, y> -> |x, y XOR f(x)> for a boolean f
-    given as its truth table (length must be a power of two, entries 0
-    or 1).  The result acts on n+1 qubits, with y the last qubit.
-    """
-    size = len(table)
-    if size < 1 or size & (size - 1) != 0:
-        raise BadTableLength("truth table length %d is not a power of two" % size)
-    if any(v not in (0, 1) for v in table):
-        raise BadTableLength("truth table entries must be 0 or 1")
-    n_in = size.bit_length() - 1
-    dim = 2 * size
-    m = np.zeros((dim, dim), dtype=complex)
-    for x in range(size):
-        for y in (0, 1):
-            m[2 * x + (y ^ table[x]), 2 * x + y] = 1.0
-    bits = "".join(str(v) for v in table)
-    return GateSpec("Uf[%s]" % bits, n_in + 1, Matrix(m))
-
-
-def compose(placed: Sequence[Tuple[GateSpec, int]], qubits: int = 0) -> GateSpec:
+def compose(placed: Sequence[Tuple[GateSpec, int]]) -> GateSpec:
     """Chain gates into one: first listed acts first.
 
     Each entry is (gate, offset) with offset the topmost qubit the gate
-    touches.  qubits fixes the register width; left at 0 it becomes the
-    smallest width that fits every placement.  Raises
-    PlacementOutOfRange when a gate sticks out of the register.
+    touches.  The register is the smallest one that fits every
+    placement.  Raises PlacementOutOfRange on a negative offset.
     """
     placed = list(placed)
     if not placed:
         raise ValidationError("compose needs at least one placed gate")
-    needed = max(off + g.qubits for g, off in placed)
-    width = qubits if qubits else needed
+    for g, off in placed:
+        if off < 0:
+            raise PlacementOutOfRange("gate %s at negative offset %d" % (g.name, off))
+    width = max(off + g.qubits for g, off in placed)
     total = np.eye(2 ** width, dtype=complex)
     for g, off in placed:
-        if off < 0 or off + g.qubits > width:
-            raise PlacementOutOfRange(
-                "gate %s at offset %d does not fit in %d qubit(s)"
-                % (g.name, off, width)
-            )
         lifted = g.matrix
         if off > 0:
             lifted = tensor(Matrix.identity(2 ** off), lifted)

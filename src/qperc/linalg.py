@@ -31,6 +31,19 @@ def _freeze(a: np.ndarray, copy: bool = True) -> np.ndarray:
     return a
 
 
+def _squared_norm(a: np.ndarray) -> float:
+    # Squares above about 1e154 overflow, so the real and imaginary
+    # parts are summed after dividing by the largest of them; the
+    # Python float product that scales the sum back gives inf rather
+    # than an overflow warning.
+    p = np.abs(a.view(float))
+    top = float(p.max())
+    if top == 0.0:
+        return 0.0
+    p /= top
+    return top * top * float(p @ p)
+
+
 class StateVector:
     """A quantum state: a unit-norm complex amplitude vector.
 
@@ -47,7 +60,7 @@ class StateVector:
         a = _freeze(np.asarray(list(amps) if not isinstance(amps, np.ndarray) else amps))
         if a.ndim != 1 or a.size == 0:
             raise ValidationError("state must be a non-empty 1-d amplitude list")
-        n2 = float(np.sum(np.abs(a) ** 2))
+        n2 = _squared_norm(a)
         if abs(n2 - 1.0) > NORM_TOL:
             raise ValidationError(
                 "state is not normalized: sum |a_i|^2 = %.12g" % n2
@@ -154,13 +167,17 @@ class Matrix:
 def normalize(coeffs: Iterable[complex]) -> StateVector:
     """Scale a coefficient list to unit norm and return it as a state.
 
-    Raises ValidationError on the zero vector.
+    Raises ValidationError on the zero vector or a non-finite entry.
+    The norm is taken after dividing the real and imaginary parts, as
+    floats, by the largest of them: squares of huge parts overflow, and
+    so does complex division by a subnormal.
     """
-    a = np.asarray(list(coeffs), dtype=complex)
-    n = np.linalg.norm(a)
-    if n == 0.0:
+    p = _freeze(np.asarray(list(coeffs))).view(float)
+    top = float(np.abs(p).max(initial=0.0))
+    if top == 0.0:
         raise ValidationError("cannot normalize the zero vector")
-    return StateVector(a / n)
+    a = (p / top).view(complex)
+    return StateVector(a / np.linalg.norm(a))
 
 
 def tensor(a: Matrix, b: Matrix) -> Matrix:

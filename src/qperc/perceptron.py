@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InconsistentTrainingSet, ValidationError
 from .linalg import Matrix, StateVector, apply, inner, max_abs_diff
-from .svd import DEFAULT_RANK_TOL, svd, triangular_factor
+from .svd import svd, triangular_factor
 
 # Pairwise inner-product preservation slack accepted by train().
 CONSISTENCY_TOL = 1e-8
@@ -154,7 +154,6 @@ class PerceptronModel:
     w_new: Matrix
     unitary: Matrix
     rank: int
-    rank_tol: float
 
 
 def _columns(vectors) -> np.ndarray:
@@ -217,11 +216,7 @@ def consistency_check(s: TrainingSet) -> ConsistencyReport:
     )
 
 
-def train(
-    s: TrainingSet,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    force: bool = False,
-) -> PerceptronModel:
+def train(s: TrainingSet, force: bool = False) -> PerceptronModel:
     """Learn a unitary operator from the training set in one shot.
 
     Accumulates the total weight, takes its SVD once, and sets every
@@ -233,8 +228,6 @@ def train(
     Parameters
     ----------
     s : TrainingSet
-    rank_tol : float
-        Passed through to the SVD rank decision.
     force : bool
         Train even if the consistency check fails.
 
@@ -246,7 +239,7 @@ def train(
     if not report.ok and not force:
         raise InconsistentTrainingSet(report)
     w = total_weight(s)
-    r = svd(w, rank_tol=rank_tol)
+    r = svd(w)
     return PerceptronModel(
         dim=s.dim,
         f=r.u,
@@ -254,7 +247,6 @@ def train(
         w_new=r.v_dag,
         unitary=Matrix.wrap(r.u.array @ r.v_dag.array),
         rank=r.rank,
-        rank_tol=r.rank_tol,
     )
 
 

@@ -10,14 +10,13 @@ Training set file:
 
 Model file:
     {"dim": 4, "f": [[[re,im], ...] per row], "w_new": ..., "unitary": ...,
-     "sigma": [...], "rank": 3, "rank_tol": 1e-10}
+     "sigma": [...], "rank": 3}
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from typing import Optional
 
 from .errors import ParseError, ValidationError
@@ -159,7 +158,6 @@ def serialize_model(m: PerceptronModel) -> str:
         "unitary": matrix_to_json(m.unitary),
         "sigma": [float(s) for s in m.sigma],
         "rank": m.rank,
-        "rank_tol": m.rank_tol,
     }
     return json.dumps(doc, indent=2)
 
@@ -171,12 +169,14 @@ def parse_model(text: str) -> PerceptronModel:
     ValidationError when the model contradicts itself: "unitary" is
     not unitary, or differs from f @ w_new, at DEFAULT_UNITARY_TOL;
     "sigma" is not finite, non-negative and descending; or "rank" is
-    not the number of sigma above rank_tol * max(1, sigma[0]).
+    not the number of sigma above DEFAULT_RANK_TOL * max(1, sigma[0]).
+    Keys it does not know are ignored, so files of older versions,
+    which carry one more key, still load.
     """
     doc = _loads(text)
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
-    for key in ("dim", "f", "w_new", "unitary", "sigma", "rank", "rank_tol"):
+    for key in ("dim", "f", "w_new", "unitary", "sigma", "rank"):
         if key not in doc:
             raise ParseError("missing required key %r" % key)
     dim = _dim(doc)
@@ -197,14 +197,9 @@ def parse_model(text: str) -> PerceptronModel:
     rank = doc["rank"]
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise ValidationError("'rank' must be an integer")
-    rank_tol = doc["rank_tol"]
-    # The chained comparison is exact for ints of any size and false for NaN.
-    if not _is_real(rank_tol) or not 0 <= rank_tol <= sys.float_info.max:
-        raise ValidationError("'rank_tol' must be a finite non-negative number")
-    rank_tol = float(rank_tol)
-    expected = numerical_rank(sigma, rank_tol)
+    expected = numerical_rank(sigma)
     if rank != expected:
-        raise ValidationError("'rank' is %r but %d of 'sigma' exceed rank_tol" % (rank, expected))
+        raise ValidationError("'rank' is %r but %d of 'sigma' exceed the rank cutoff" % (rank, expected))
     if not is_unitary(unitary):
         raise ValidationError("'unitary' is not unitary at %g" % DEFAULT_UNITARY_TOL)
     if max_abs_diff(unitary, f.array @ w_new.array) > DEFAULT_UNITARY_TOL:
@@ -216,5 +211,4 @@ def parse_model(text: str) -> PerceptronModel:
         w_new=w_new,
         unitary=unitary,
         rank=rank,
-        rank_tol=rank_tol,
     )

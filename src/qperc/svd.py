@@ -85,16 +85,14 @@ class SvdResult:
     sigma : tuple of float
         Singular values, descending, one per column of u.
     rank : int
-        Number of singular values above ``rank_tol * max(1, sigma[0])``.
-    rank_tol : float
-        The relative threshold used for ``rank``.
+        Number of singular values above
+        ``DEFAULT_RANK_TOL * max(1, sigma[0])``.
     """
 
     u: Matrix
     sigma: tuple
     v_dag: Matrix
     rank: int
-    rank_tol: float
 
 
 def _jacobi_orthogonalize(av: np.ndarray, max_sweeps: int) -> None:
@@ -266,22 +264,20 @@ def _complete_null_columns(u: np.ndarray, filled: np.ndarray) -> None:
         filled[i] = True
 
 
-def numerical_rank(sigma, rank_tol: float) -> int:
+def numerical_rank(sigma) -> int:
     """The number of singular values (given in descending order) above
-    rank_tol * max(1, sigma[0])."""
-    cut = rank_tol * max(1.0, sigma[0])
+    DEFAULT_RANK_TOL * max(1, sigma[0])."""
+    cut = DEFAULT_RANK_TOL * max(1.0, sigma[0])
     return sum(s > cut for s in sigma)
 
 
-def svd(m: Matrix, rank_tol: float = DEFAULT_RANK_TOL, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
+def svd(m: Matrix, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
     """Decompose a square complex matrix as u @ diag(sigma) @ v_dag.
 
     Parameters
     ----------
     m : Matrix
         Square input.  Raises NotSquare otherwise.
-    rank_tol : float
-        Relative cutoff for counting a singular value as nonzero.
     max_sweeps : int
         Rotation sweep cap; exceeding it raises NumericalFailure.
 
@@ -333,14 +329,12 @@ def svd(m: Matrix, rank_tol: float = DEFAULT_RANK_TOL, max_sweeps: int = MAX_SWE
     v *= np.where(live, ph, 1.0)
 
     sigma = tuple(float(x) for x in norms * fro * amax)
-    rank = numerical_rank(sigma, rank_tol)
     np.conjugate(v, out=v)
     return SvdResult(
         u=Matrix.wrap(u),
         sigma=sigma,
         v_dag=Matrix.wrap(v.T),
-        rank=rank,
-        rank_tol=float(rank_tol),
+        rank=numerical_rank(sigma),
     )
 
 

@@ -6,7 +6,6 @@ import pytest
 from qperc.baselines import (
     DIVERGENCE_LIMIT,
     IterativeConfig,
-    classical_perceptron_train,
     iterative_quantum_train,
 )
 from qperc.errors import DivergenceDetected, ValidationError
@@ -14,49 +13,8 @@ from qperc.gates import complete_training_set, standard_gate
 from qperc.linalg import is_unitary, max_abs_diff
 from qperc.perceptron import train
 
-AND_LIKE = [((1, 1), 1), ((1, -1), -1), ((-1, 1), -1), ((-1, -1), -1)]
-XOR = [((1, 1), -1), ((1, -1), 1), ((-1, 1), 1), ((-1, -1), -1)]
-
-
 def _h_set():
     return complete_training_set(standard_gate("H"))
-
-
-def test_classical_separable_set_converges():
-    res = classical_perceptron_train(AND_LIKE, eta=0.5, theta=1.0)
-    assert res.converged
-    # converged weights classify every sample correctly
-    for x, y in AND_LIKE:
-        z = float(np.dot(res.weights, x)) - 1.0
-        assert (1 if z > 0 else -1) == y
-
-
-def test_classical_xor_never_converges():
-    res = classical_perceptron_train(XOR, eta=0.5, theta=0.0, max_iters=200)
-    assert not res.converged
-    assert res.iterations == 200
-
-
-def test_classical_single_sample_two_passes():
-    res = classical_perceptron_train([((1, 1), 1)], eta=0.5, theta=0.0)
-    assert res.converged
-    assert res.iterations <= 2
-
-
-def test_classical_zero_start_is_deterministic():
-    r1 = classical_perceptron_train(AND_LIKE, eta=0.5, theta=1.0)
-    r2 = classical_perceptron_train(AND_LIKE, eta=0.5, theta=1.0)
-    assert r1.weights == r2.weights
-    assert r1.iterations == r2.iterations
-
-
-def test_classical_input_validation():
-    with pytest.raises(ValidationError):
-        classical_perceptron_train([])
-    with pytest.raises(ValidationError):
-        classical_perceptron_train([((1, 1), 2)])
-    with pytest.raises(ValidationError):
-        classical_perceptron_train([((1, 1), 1), ((1,), -1)])
 
 
 def test_config_validation():

@@ -98,24 +98,67 @@ def test_predict_normalize_rejects_malformed_amplitudes(tmp_path, capsys, state)
     assert len(_error_lines(capsys.readouterr().err)) == 1
 
 
-@pytest.mark.parametrize("rank_tol", ['"abc"', "null", "true", "-1", "NaN", "Infinity", "1" + "0" * 400])
-def test_model_with_bad_rank_tol_exits_2(tmp_path, capsys, rank_tol):
-    set_path = _write_set(tmp_path, "h.json", "H", "complete")
+def _h_model(tmp_path):
     out = tmp_path / "model.json"
-    main(["train", set_path, "--out", str(out)])
-    doc = json.loads(out.read_text())
+    main(["train", _write_set(tmp_path, "h.json", "H", "complete"), "--out", str(out)])
+    return out
+
+
+def test_predict_huge_amplitude_is_one_error_line(tmp_path, capsys):
+    model = _h_model(tmp_path)
+    capsys.readouterr()
+    assert main(["predict", str(model), "--state", "[1e200, 0]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: state: state is not normalized: sum |a_i|^2 = inf"]
+
+
+@pytest.mark.parametrize(
+    "state, want",
+    [("[1e200, 1e200]", [1, 0]), ("[1e-320, 0]", [math.sqrt(0.5), math.sqrt(0.5)])],
+)
+def test_predict_normalizes_huge_and_subnormal_states(tmp_path, capsys, state, want):
+    model = _h_model(tmp_path)
+    capsys.readouterr()
+    assert main(["predict", str(model), "--state", state, "--normalize", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    np.testing.assert_allclose([complex(re, im) for re, im in json.loads(captured.out)], want, atol=1e-15)
+
+
+def test_model_file_with_rank_tol_key_still_loads(tmp_path, capsys):
+    # Model files written before the rank cutoff was fixed carry a
+    # "rank_tol" key after "rank".
+    model = _h_model(tmp_path)
+    doc = json.loads(model.read_text())
+    doc["rank_tol"] = 1e-10
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc, indent=2))
+    capsys.readouterr()
+    state = "[[0.6, 0], [0, 0.8]]"
+    assert main(["predict", str(model), "--state", state, "--json"]) == 0
+    want = capsys.readouterr().out
+    assert main(["predict", str(old), "--state", state, "--json"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_model_whose_rank_used_another_cutoff_exits_2(tmp_path, capsys):
+    # What an older "train --rank-tol 1" wrote for the complete H set:
+    # sigma [1, 1] with rank 0.
+    model = _h_model(tmp_path)
+    doc = json.loads(model.read_text())
+    doc.update(rank=0, rank_tol=1.0)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc).replace('"rank_tol": 1e-10', '"rank_tol": ' + rank_tol))
+    bad.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["predict", str(bad), "--state", "[1, 0]"]) == 2
     assert len(_error_lines(capsys.readouterr().err)) == 1
 
 
-@pytest.mark.parametrize("rank_tol", ["nan", "inf", "-inf", "-1"])
-def test_train_rejects_non_finite_or_negative_rank_tol(tmp_path, capsys, rank_tol):
+def test_train_has_no_rank_tol_flag(tmp_path, capsys):
     set_path = _write_set(tmp_path, "h.json", "H", "complete")
     capsys.readouterr()
-    assert main(["train", set_path, "--rank-tol", rank_tol]) == 1
+    assert main(["train", set_path, "--rank-tol", "1e-3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(_error_lines(captured.err)) == 1
@@ -149,6 +192,7 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
         pytest.param(('{"dim": 1, "pairs": [{"x": [[0, %s]], "y": [1]}]}' % BIG).encode(), id="400-digit-imaginary"),
         pytest.param(('{"dim": 1, "pairs": [{"x": [1%s], "y": [1]}]}' % ("0" * 5000)).encode(), id="5000-digit-integer"),
         pytest.param(b'{"dim": true, "pairs": [{"x": [1], "y": [1]}]}', id="dim-true"),
+        pytest.param(b'{"dim": 2, "pairs": [{"x": [1e200, 0], "y": [1, 0]}]}', id="1e200-amplitude"),
     ],
 )
 def test_malformed_set_file_exits_2(tmp_path, capsys, text):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qperc.errors import (
-    BadTableLength,
     PlacementOutOfRange,
     UnknownGate,
     ValidationError,
@@ -15,7 +14,6 @@ from qperc.gates import (
     compose,
     composite_gate,
     generate_set,
-    oracle_uf,
     standard_gate,
 )
 from qperc.linalg import Matrix, is_unitary, max_abs_diff, tensor
@@ -73,37 +71,6 @@ def test_gatespec_rejects_non_unitary():
         GateSpec("bad", 2, Matrix.identity(2))
 
 
-def test_oracle_identity_function_is_cnot():
-    g = oracle_uf([0, 1])
-    np.testing.assert_array_equal(g.matrix.array, standard_gate("CNOT").matrix.array)
-    assert g.qubits == 2
-
-
-def test_oracle_constant_functions():
-    np.testing.assert_array_equal(oracle_uf([0, 0]).matrix.array, np.eye(4))
-    flip = tensor(Matrix.identity(2), standard_gate("X").matrix)
-    np.testing.assert_array_equal(oracle_uf([1, 1]).matrix.array, flip.array)
-
-
-def test_oracle_xor_function_mappings():
-    g = oracle_uf([0, 1, 1, 0])  # f(x1 x2) = x1 xor x2
-    m = g.matrix.array
-    assert g.qubits == 3
-    # |x1 x2 y> -> |x1 x2 (y xor f)>: check |01 0> -> |01 1> and |11 0> -> |11 0>
-    np.testing.assert_array_equal(m @ np.eye(8)[2], np.eye(8)[3])
-    np.testing.assert_array_equal(m @ np.eye(8)[6], np.eye(8)[6])
-    assert is_unitary(g.matrix, 1e-12)
-
-
-def test_oracle_rejects_bad_tables():
-    with pytest.raises(BadTableLength):
-        oracle_uf([0, 1, 0])
-    with pytest.raises(BadTableLength):
-        oracle_uf([])
-    with pytest.raises(BadTableLength):
-        oracle_uf([0, 2])
-
-
 def test_compose_single_gate_at_offset_zero():
     h = standard_gate("H")
     c = compose([(h, 0)])
@@ -125,7 +92,7 @@ def test_compose_cnot_twice_is_identity():
 
 def test_compose_offset_lifts_to_the_low_qubit():
     h = standard_gate("H")
-    c = compose([(h, 1)], qubits=2)
+    c = compose([(h, 1)])
     np.testing.assert_allclose(
         c.matrix.array, tensor(Matrix.identity(2), h.matrix).array
     )
@@ -150,9 +117,7 @@ def test_compose_width_grows_to_fit():
 def test_compose_placement_out_of_range():
     cnot = standard_gate("CNOT")
     with pytest.raises(PlacementOutOfRange):
-        compose([(cnot, 1)], qubits=2)
-    with pytest.raises(PlacementOutOfRange):
-        compose([(cnot, -1)], qubits=2)
+        compose([(cnot, -1)])
     with pytest.raises(ValidationError):
         compose([])
 

@@ -30,6 +30,10 @@ def test_state_accepts_unit_norm():
 def test_state_rejects_bad_norm():
     with pytest.raises(ValidationError):
         StateVector([0.9, 0.0])
+    # Squares that overflow read as inf, without a numpy warning.
+    for amps in ([1e200, 0.0], [complex(1.5e308, 1.5e308), 0.0]):
+        with pytest.raises(ValidationError, match="= inf"):
+            StateVector(amps)
 
 
 def test_state_rejects_non_finite():
@@ -59,6 +63,13 @@ def test_normalize_scales_to_unit():
 def test_normalize_rejects_zero_vector():
     with pytest.raises(ValidationError):
         normalize([0, 0, 0])
+
+
+def test_normalize_is_scale_free():
+    v = np.array([0.3 - 1.2j, 2.5, -0.7j, 1e-3])
+    want = normalize(v).amps
+    for c in 10.0 ** np.arange(-300, 301, 25):
+        assert max_abs_diff(normalize(c * v), want) <= 1e-15, c
 
 
 def test_matrix_shape_checks():

@@ -96,7 +96,6 @@ def test_model_roundtrip_is_bit_exact():
     back = parse_model(serialize_model(model))
     assert back.dim == model.dim
     assert back.rank == model.rank
-    assert back.rank_tol == model.rank_tol
     assert back.sigma == model.sigma
     np.testing.assert_array_equal(back.f.array, model.f.array)
     np.testing.assert_array_equal(back.w_new.array, model.w_new.array)
@@ -175,7 +174,6 @@ TWICE_IDENTITY = [[[2.0 * (i == j), 0.0] for j in range(4)] for i in range(4)]
         pytest.param(_swap_first_two_sigma, id="sigma-ascending"),
         pytest.param(lambda doc: doc.update(rank=doc["rank"] + 1), id="rank-too-high"),
         pytest.param(lambda doc: doc.update(rank=doc["rank"] - 1), id="rank-too-low"),
-        pytest.param(lambda doc: doc.update(rank_tol=0.5), id="rank_tol-changes-rank"),
     ],
 )
 def test_model_that_contradicts_itself_is_rejected(edit):
