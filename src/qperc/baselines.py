@@ -84,16 +84,13 @@ def iterative_quantum_train(s: TrainingSet, cfg: IterativeConfig = IterativeConf
     it drops to stop_tol or max_iters passes have run, and raises
     DivergenceDetected if it ever exceeds DIVERGENCE_LIMIT.
     """
-    dim = s.dim
-    w = _initial_weight(dim, cfg)
-    xs = [p.input.amps for p in s]
-    ys = [p.target.amps for p in s]
+    w = _initial_weight(s.dim, cfg)
     errors = []
     for t in range(1, cfg.max_iters + 1):
-        for x, y in zip(xs, ys):
+        for x, y in zip(s.x.T, s.y.T):
             r = y - w @ x
             w = w + cfg.eta * np.outer(r, x.conj())
-        err = float(np.mean([np.linalg.norm(w @ x - y) for x, y in zip(xs, ys)]))
+        err = float(np.mean(np.linalg.norm(w @ s.x - s.y, axis=0)))
         errors.append(err)
         if err > DIVERGENCE_LIMIT:
             raise DivergenceDetected(

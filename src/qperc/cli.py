@@ -26,7 +26,6 @@ from .errors import (
     InconsistentTrainingSet,
     NumericalFailure,
     ParseError,
-    PlacementOutOfRange,
     UnknownGate,
     ValidationError,
 )
@@ -36,14 +35,13 @@ from .linalg import is_unitary, normalize
 from .perceptron import predict as model_predict
 from .perceptron import train as train_model
 from .serialize import (
-    matrix_to_json,
+    array_to_json,
     parse_amplitudes,
     parse_model,
     parse_state,
     parse_training_set,
     serialize_model,
     serialize_training_set,
-    state_to_json,
 )
 
 USAGE_EXIT = 1
@@ -128,7 +126,7 @@ def _cmd_predict(args) -> int:
     if args.json:
         import json as _json
 
-        print(_json.dumps(state_to_json(y)))
+        print(_json.dumps(array_to_json(y.amps)))
     else:
         print(_state_lines(y))
     return 0
@@ -164,7 +162,7 @@ def _cmd_gate(args) -> int:
     if args.json:
         import json as _json
 
-        print(_json.dumps({"name": g.name, "qubits": g.qubits, "matrix": matrix_to_json(g.matrix)}))
+        print(_json.dumps({"name": g.name, "qubits": g.qubits, "matrix": array_to_json(g.matrix.array)}))
         return 0
     print("%s on %d qubit(s):" % (g.name, g.qubits))
     for row in g.matrix.array:
@@ -266,7 +264,7 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     try:
         return args.func(args)
-    except (UnknownGate, PlacementOutOfRange) as e:
+    except UnknownGate as e:
         print("error: %s" % e, file=sys.stderr)
         return USAGE_EXIT
     except (ParseError, ValidationError, InconsistentTrainingSet, DimensionMismatch) as e:

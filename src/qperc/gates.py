@@ -15,8 +15,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import PlacementOutOfRange, UnknownGate, ValidationError
-from .linalg import Matrix, StateVector, apply, is_unitary, tensor
-from .perceptron import TrainingPair, TrainingSet
+from .linalg import Matrix, is_unitary, tensor
+from .perceptron import TrainingSet
 
 # GateSpec construction rejects anything farther from unitarity than this.
 GATE_UNITARY_TOL = 1e-12
@@ -158,12 +158,7 @@ def composite_gate() -> GateSpec:
 
 def complete_training_set(g: GateSpec) -> TrainingSet:
     """One pair (|k>, g|k>) per computational basis state, ascending k."""
-    dim = g.dim
-    pairs = []
-    for k in range(dim):
-        x = StateVector.basis(dim, k)
-        pairs.append(TrainingPair(x, apply(g.matrix, x)))
-    return TrainingSet(pairs)
+    return generate_set(g, "complete")
 
 
 def generate_set(g: GateSpec, mode: str, seed: int = 0) -> TrainingSet:
@@ -177,25 +172,23 @@ def generate_set(g: GateSpec, mode: str, seed: int = 0) -> TrainingSet:
     """
     rng = np.random.default_rng(seed)
     dim = g.dim
+    u = g.matrix.array
     if mode == "complete":
-        return complete_training_set(g)
+        return TrainingSet.from_arrays(np.eye(dim), u)
     if mode == "over":
-        pairs = list(complete_training_set(g).pairs)
+        basis = np.arange(dim)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        x = StateVector(v / np.linalg.norm(v))
-        pairs.append(TrainingPair(x, apply(g.matrix, x)))
-        return TrainingSet(pairs)
-    if mode == "less":
-        k = dim // 4
-        pairs = []
-        for idx in sorted(rng.choice(dim, size=k, replace=False)):
-            x = StateVector.basis(dim, int(idx))
-            pairs.append(TrainingPair(x, apply(g.matrix, x)))
+    elif mode == "less":
+        basis = np.sort(rng.choice(dim, size=dim // 4, replace=False))
         a, b = rng.choice(dim, size=2, replace=False)
         coeff = rng.uniform(0.25, 1.0, size=2) * rng.choice((-1.0, 1.0), size=2)
         v = np.zeros(dim, dtype=complex)
         v[int(a)], v[int(b)] = coeff[0], coeff[1]
-        x = StateVector(v / np.linalg.norm(v))
-        pairs.append(TrainingPair(x, apply(g.matrix, x)))
-        return TrainingSet(pairs)
-    raise ValidationError("mode must be one of: complete, less, over (got %r)" % mode)
+    else:
+        raise ValidationError("mode must be one of: complete, less, over (got %r)" % mode)
+    v = v / np.linalg.norm(v)
+    # The basis targets are columns of g, and the last is g's product
+    # with v alone: one product g @ X would round differently.
+    x = np.column_stack([np.eye(dim)[:, basis], v])
+    y = np.column_stack([u[:, basis], u @ v])
+    return TrainingSet.from_arrays(x, y)

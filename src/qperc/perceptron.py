@@ -1,12 +1,13 @@
 """One-shot quantum perceptron.
 
 A training set of m (input, target) state pairs in dimension dim is
-held as two dim x m arrays, X with the inputs as columns and Y with the
-targets.  Training sums the rank-one maps |y_i><x_i| into the weight
-W = Y X†, and replaces W by its unitary polar factor: with
-W = u diag(sigma) v_dag, every singular value is forced to one and the
-learned operator is u @ v_dag.  There is no update loop; one SVD is the
-whole of training.
+two dim x m arrays, X with the inputs as columns and Y with the
+targets; TrainingSet.from_arrays(x, y) takes them as they are.
+Training sums the rank-one maps |y_i><x_i| into the weight W = Y X†,
+and replaces W by its unitary polar factor: with W = u diag(sigma)
+v_dag, every singular value is forced to one and the learned operator
+is u @ v_dag.  There is no update loop; one SVD is the whole of
+training.
 
 Consistency compares the Gram matrices X†X and Y†Y entrywise, and the
 completeness class comes from the rank of X: by a Jacobi SVD of X
@@ -28,7 +29,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentTrainingSet, ValidationError
-from .linalg import Matrix, StateVector, apply, inner, max_abs_diff
+from .linalg import NORM_TOL, Matrix, StateVector, apply, inner, max_abs_diff
 from .svd import svd, triangular_factor
 
 # Pairwise inner-product preservation slack accepted by train().
@@ -65,12 +66,13 @@ class TrainingPair:
 
 
 class TrainingSet:
-    """A non-empty collection of equal-dimension training pairs.
+    """A non-empty set of equal-dimension training pairs.
 
-    At construction the inputs and targets are stacked as the columns
-    of two read-only dim x m arrays, ``x`` and ``y``, and the
-    completeness class is computed once from the numerical rank of x
-    (see :func:`classify_set`).
+    It holds the inputs and targets as the columns of two read-only
+    dim x m arrays, ``x`` and ``y``, and the completeness class,
+    computed once from the numerical rank of x (see :func:`classify_set`).
+    ``TrainingSet(pairs)`` trusts its states, which StateVector has
+    checked; :meth:`from_arrays` checks every column.
     """
 
     def __init__(self, pairs: Iterable[TrainingPair]):
@@ -83,15 +85,52 @@ class TrainingSet:
                 raise DimensionMismatch(
                     "pair %d has dim %d, expected %d" % (k, p.input.dim, dim)
                 )
-        self._pairs = pairs
-        self._dim = dim
-        self._x = _columns([p.input.amps for p in pairs])
-        self._y = _columns([p.target.amps for p in pairs])
-        self._completeness = classify_set(self._x)
+        self._hold(
+            np.stack([p.input.amps for p in pairs], axis=1),
+            np.stack([p.target.amps for p in pairs], axis=1),
+        )
+
+    @classmethod
+    def from_arrays(cls, x, y) -> "TrainingSet":
+        """The set whose pair k is (x[:, k], y[:, k]), from copies of x
+        and y.  Raises DimensionMismatch if their shapes differ, and
+        ValidationError unless they are non-empty and 2-d with every
+        column a finite unit state, naming the first bad column."""
+        x = np.array(x, dtype=complex, order="C")
+        y = np.array(y, dtype=complex, order="C")
+        if x.shape != y.shape:
+            raise DimensionMismatch("inputs have shape %s, targets %s" % (x.shape, y.shape))
+        if x.ndim != 2 or x.size == 0:
+            raise ValidationError("inputs and targets must be non-empty 2-d arrays")
+        # Column 2k of z is input k and 2k + 1 target k, so the first
+        # bad column is the first fault in pair order, input first.
+        z = np.stack([x, y], axis=2).reshape(x.shape[0], -1)
+        finite = np.isfinite(z).all(axis=0)
+        with np.errstate(over="ignore"):
+            n2 = (z.real ** 2 + z.imag ** 2).sum(axis=0)
+        bad = ~finite | (np.abs(n2 - 1.0) > NORM_TOL)
+        if bad.any():
+            j = int(np.argmax(bad))
+            if finite[j]:
+                why = "state is not normalized: sum |a_i|^2 = %.12g" % n2[j]
+            else:
+                why = "non-finite entry (nan or inf)"
+            raise ValidationError("pair %d %s: %s" % (j // 2, ("input", "target")[j % 2], why))
+        s = cls.__new__(cls)
+        s._hold(x, y)
+        return s
+
+    def _hold(self, x: np.ndarray, y: np.ndarray) -> None:
+        x.setflags(write=False)
+        y.setflags(write=False)
+        self._x, self._y = x, y
+        self._completeness = classify_set(x)
 
     @property
     def pairs(self) -> Tuple[TrainingPair, ...]:
-        return self._pairs
+        """The pairs, built anew from the columns on every call."""
+        state = StateVector.unchecked
+        return tuple(TrainingPair(state(a), state(b)) for a, b in zip(self._x.T, self._y.T))
 
     @property
     def x(self) -> np.ndarray:
@@ -105,21 +144,21 @@ class TrainingSet:
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._x.shape[0]
 
     @property
     def completeness(self) -> Completeness:
         return self._completeness
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return self._x.shape[1]
 
     def __iter__(self):
-        return iter(self._pairs)
+        return iter(self.pairs)
 
     def __repr__(self) -> str:
         return "TrainingSet(dim=%d, pairs=%d, %s)" % (
-            self._dim, len(self._pairs), self._completeness.value,
+            self.dim, len(self), self._completeness.value,
         )
 
 
@@ -154,12 +193,6 @@ class PerceptronModel:
     w_new: Matrix
     unitary: Matrix
     rank: int
-
-
-def _columns(vectors) -> np.ndarray:
-    a = np.stack(vectors, axis=1)
-    a.setflags(write=False)
-    return a
 
 
 def total_weight(s: TrainingSet) -> Matrix:

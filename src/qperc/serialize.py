@@ -21,12 +21,13 @@ from typing import Optional
 
 from .errors import ParseError, ValidationError
 from .linalg import DEFAULT_UNITARY_TOL, Matrix, StateVector, is_unitary, max_abs_diff
-from .perceptron import PerceptronModel, TrainingPair, TrainingSet
+from .perceptron import PerceptronModel, TrainingSet
 from .svd import numerical_rank
 
 
-def _c2j(z: complex):
-    return [float(z.real), float(z.imag)]
+def array_to_json(a):
+    """A complex array as nested lists, each entry an [re, im] pair."""
+    return a.copy(order="C").view(float).reshape(a.shape + (2,)).tolist()
 
 
 def _is_real(v) -> bool:
@@ -49,26 +50,10 @@ def _j2c(v, where: str) -> complex:
     raise ParseError("%s: expected a number or [re, im], got %r" % (where, v))
 
 
-def state_to_json(x: StateVector):
-    return [_c2j(z) for z in x.amps]
-
-
-def matrix_to_json(m: Matrix):
-    return [[_c2j(z) for z in row] for row in m.array]
-
-
 def _amplitudes_from_json(v, where: str) -> list:
     if not isinstance(v, list) or not v:
         raise ParseError("%s: expected a non-empty amplitude array" % where)
     return [_j2c(t, where) for t in v]
-
-
-def _state_from_json(v, where: str) -> StateVector:
-    amps = _amplitudes_from_json(v, where)
-    try:
-        return StateVector(amps)
-    except ValidationError as e:
-        raise ValidationError("%s: %s" % (where, e)) from None
 
 
 def _matrix_from_json(v, where: str) -> Matrix:
@@ -105,14 +90,18 @@ def parse_amplitudes(text: str) -> list:
 def parse_state(text: str) -> StateVector:
     """Parse one state from a JSON amplitude array such as
     "[1, 0]" or "[[0.6, 0], [0, 0.8]]"."""
-    return _state_from_json(_loads(text), "state")
+    amps = parse_amplitudes(text)
+    try:
+        return StateVector(amps)
+    except ValidationError as e:
+        raise ValidationError("state: %s" % e) from None
 
 
 def serialize_training_set(s: TrainingSet, metadata: Optional[dict] = None) -> str:
     doc = {
         "dim": s.dim,
         "pairs": [
-            {"x": state_to_json(p.input), "y": state_to_json(p.target)} for p in s
+            {"x": x, "y": y} for x, y in zip(array_to_json(s.x.T), array_to_json(s.y.T))
         ],
     }
     if metadata is not None:
@@ -125,7 +114,8 @@ def parse_training_set(text: str) -> TrainingSet:
 
     Raises ParseError when the JSON or its shape is wrong, and
     ValidationError (naming the offending pair) when a state fails the
-    norm or dimension checks.
+    dimension check or, all pairs having passed it, the norm and
+    finiteness checks of TrainingSet.from_arrays.
     """
     doc = _loads(text)
     if not isinstance(doc, dict):
@@ -136,26 +126,25 @@ def parse_training_set(text: str) -> TrainingSet:
     raw_pairs = doc["pairs"]
     if not isinstance(raw_pairs, list) or not raw_pairs:
         raise ParseError("'pairs' must be a non-empty array")
-    pairs = []
+    xs, ys = [], []
     for k, rp in enumerate(raw_pairs):
         if not isinstance(rp, dict) or "x" not in rp or "y" not in rp:
             raise ParseError("pair %d: expected an object with 'x' and 'y'" % k)
-        x = _state_from_json(rp["x"], "pair %d input" % k)
-        y = _state_from_json(rp["y"], "pair %d target" % k)
-        if x.dim != dim:
-            raise ValidationError("pair %d input has %d amplitudes, dim is %d" % (k, x.dim, dim))
-        if y.dim != dim:
-            raise ValidationError("pair %d target has %d amplitudes, dim is %d" % (k, y.dim, dim))
-        pairs.append(TrainingPair(x, y))
-    return TrainingSet(pairs)
+        for side, v, out in (("input", rp["x"], xs), ("target", rp["y"], ys)):
+            amps = _amplitudes_from_json(v, "pair %d %s" % (k, side))
+            if len(amps) != dim:
+                raise ValidationError("pair %d %s has %d amplitudes, dim is %d" % (k, side, len(amps), dim))
+            out.append(amps)
+    # xs and ys list the pairs' amplitudes by rows; X and Y hold them as columns.
+    return TrainingSet.from_arrays(list(zip(*xs)), list(zip(*ys)))
 
 
 def serialize_model(m: PerceptronModel) -> str:
     doc = {
         "dim": m.dim,
-        "f": matrix_to_json(m.f),
-        "w_new": matrix_to_json(m.w_new),
-        "unitary": matrix_to_json(m.unitary),
+        "f": array_to_json(m.f.array),
+        "w_new": array_to_json(m.w_new.array),
+        "unitary": array_to_json(m.unitary.array),
         "sigma": [float(s) for s in m.sigma],
         "rank": m.rank,
     }

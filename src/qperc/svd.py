@@ -294,9 +294,12 @@ def svd(m: Matrix, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
     # scale free and column products cannot underflow.  The norm is
     # taken after dividing by the largest modulus, because the squares
     # of entries below about 1e-162 underflow and of those above about
-    # 1e154 overflow.  The scaled copy is dropped before the sweeps.
-    amax = float(np.abs(m.array).max()) or 1.0
-    b = m.array / amax
+    # 1e154 overflow; it divides the float view, as a complex division
+    # by a subnormal amax overflows.  The scaled copy is dropped before
+    # the sweeps.
+    a = np.ascontiguousarray(m.array)
+    amax = float(np.abs(a).max()) or 1.0
+    b = (a.view(float) / amax).view(complex)
     fro = math.sqrt(np.vdot(b, b).real) or 1.0
     av = np.zeros((2 * n, n), dtype=complex, order="F")
     np.divide(b, fro, out=av[:n])

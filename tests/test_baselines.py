@@ -9,7 +9,7 @@ from qperc.baselines import (
     iterative_quantum_train,
 )
 from qperc.errors import DivergenceDetected, ValidationError
-from qperc.gates import complete_training_set, standard_gate
+from qperc.gates import complete_training_set, generate_set, standard_gate
 from qperc.linalg import is_unitary, max_abs_diff
 from qperc.perceptron import train
 
@@ -93,3 +93,12 @@ def test_iterative_seeded_init_is_reproducible():
         _h_set(), IterativeConfig(max_iters=3, stop_tol=0.0, init="seeded", seed=43)
     )
     assert r1.errors != other.errors
+
+
+def test_final_error_is_the_mean_of_the_per_pair_errors():
+    # Reference: the per-pair loop over the states of the set.
+    s = generate_set(standard_gate("CNOT"), "over", seed=3)
+    res = iterative_quantum_train(s, IterativeConfig(max_iters=7))
+    w = res.weight.array
+    ref = np.mean([np.linalg.norm(w @ p.input.amps - p.target.amps) for p in s])
+    assert res.final_error == pytest.approx(ref, rel=1e-13, abs=1e-15)

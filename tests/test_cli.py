@@ -193,6 +193,9 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
         pytest.param(('{"dim": 1, "pairs": [{"x": [1%s], "y": [1]}]}' % ("0" * 5000)).encode(), id="5000-digit-integer"),
         pytest.param(b'{"dim": true, "pairs": [{"x": [1], "y": [1]}]}', id="dim-true"),
         pytest.param(b'{"dim": 2, "pairs": [{"x": [1e200, 0], "y": [1, 0]}]}', id="1e200-amplitude"),
+        pytest.param(b'{"dim": 2, "pairs": [{"x": [NaN, 0], "y": [1, 0]}]}', id="NaN-amplitude"),
+        pytest.param(b'{"dim": 2, "pairs": [{"x": [1, 0], "y": [[0, Infinity], 0]}]}', id="Infinity-amplitude"),
+        pytest.param(b'{"dim": 2, "pairs": [{"x": [1, 0], "y": [1, 0]}, {"x": [1e999, 0], "y": [1, 0]}]}', id="1e999-amplitude"),
     ],
 )
 def test_malformed_set_file_exits_2(tmp_path, capsys, text):

@@ -5,7 +5,7 @@ from qperc.errors import ValidationError
 from qperc.fixtures import FIXTURE_IDS, all_fixtures, fixture, run_fixture
 from qperc.gates import standard_gate
 from qperc.linalg import is_unitary, max_abs_diff
-from qperc.perceptron import Completeness, consistency_check, train
+from qperc.perceptron import Completeness, consistency_check, predict, train
 
 
 def test_catalog_has_fourteen_examples():
@@ -41,7 +41,6 @@ def test_examples_reproduce_their_targets(fid):
     assert rep.passed
     for pr in rep.pairs:
         assert pr.ok
-        assert pr.fidelity == 1.0
         assert pr.max_err <= 1e-9
 
 
@@ -79,3 +78,11 @@ def test_less_complete_examples_learn_some_unitary():
         model = train(fixture(fid).training)
         assert is_unitary(model.unitary, 1e-10)
         assert model.rank < model.dim
+
+
+def test_pair_errors_match_the_per_pair_predictions():
+    # Reference: predict each input on its own and compare with its target.
+    for fx in all_fixtures():
+        model = train(fx.training)
+        for pr, p in zip(run_fixture(fx.id).pairs, fx.training):
+            assert pr.max_err == pytest.approx(max_abs_diff(predict(model, p.input), p.target), abs=1e-15)

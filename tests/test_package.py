@@ -1,4 +1,7 @@
+import numpy as np
+
 import qperc
+from qperc import cli, perceptron
 
 REMOVED = ("ClassicalResult", "classical_perceptron_train", "oracle_uf", "BadTableLength")
 
@@ -13,3 +16,45 @@ def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert name not in qperc.__all__
         assert not hasattr(qperc, name), name
+
+
+# The layers perfbench/tracing.py times, each by the name its caller
+# looks it up under at call time: TrainingSet and train resolve the
+# first four in `perceptron`, the CLI commands the other four in `cli`.
+LAYER_HOOKS = (
+    (perceptron, "classify_set"),
+    (perceptron, "consistency_check"),
+    (perceptron, "total_weight"),
+    (perceptron, "svd"),
+    (cli, "parse_training_set"),
+    (cli, "serialize_model"),
+    (cli, "parse_model"),
+    (cli, "run_fixture"),
+)
+
+
+def test_every_timed_layer_is_called_through_its_hook(tmp_path, monkeypatch, capsys):
+    calls = {name: 0 for _, name in LAYER_HOOKS}
+    for mod, name in LAYER_HOOKS:
+
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    by_arrays = qperc.TrainingSet.from_arrays(np.eye(2), h)
+    assert calls["classify_set"] == 1
+    by_pairs = qperc.TrainingSet(
+        qperc.TrainingPair(qperc.StateVector(a), qperc.StateVector(b)) for a, b in zip(np.eye(2), h.T)
+    )
+    assert calls["classify_set"] == 2
+    qperc.train(by_pairs)
+    set_path, model_path = tmp_path / "h.json", tmp_path / "model.json"
+    set_path.write_text(qperc.serialize_training_set(by_arrays))
+    assert cli.main(["train", str(set_path), "--out", str(model_path)]) == 0
+    assert cli.main(["predict", str(model_path), "--state", "[1, 0]"]) == 0
+    assert cli.main(["validate", "--example", "1"]) == 0
+    capsys.readouterr()
+    assert all(calls.values()), calls

@@ -374,3 +374,116 @@ def test_train_on_less_complete_sets_is_unitary_and_meets_every_target(seed, dim
     assert model.rank == r
     assert is_unitary(model.unitary, 1e-10)
     assert np.max(np.abs(model.unitary.array @ s.x - s.y)) <= 1e-9
+
+
+def _pairs_from_columns(x, y):
+    return TrainingSet(TrainingPair(StateVector(a), StateVector(b)) for a, b in zip(x.T, y.T))
+
+
+def _assert_same_set_and_model(x, y):
+    by_pairs = _pairs_from_columns(x, y)
+    by_arrays = TrainingSet.from_arrays(x, y)
+    for a, b in ((by_pairs.x, by_arrays.x), (by_pairs.y, by_arrays.y)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert by_arrays.completeness is by_pairs.completeness
+    m1, m2 = train(by_pairs, force=True), train(by_arrays, force=True)
+    assert m1.unitary.array.tobytes() == m2.unitary.array.tobytes()
+    assert m1.sigma == m2.sigma and m1.rank == m2.rank
+
+
+def test_from_arrays_matches_the_pairs_on_every_fixture():
+    from qperc.fixtures import all_fixtures
+
+    for fx in all_fixtures():
+        pairs = fx.training.pairs
+        _assert_same_set_and_model(
+            np.stack([p.input.amps for p in pairs], axis=1),
+            np.stack([p.target.amps for p in pairs], axis=1),
+        )
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8), data=st.data())
+def test_from_arrays_matches_the_pairs_on_random_sets(seed, dim, data):
+    m = data.draw(st.integers(1, 4 * dim), label="m")
+    g = np.random.default_rng(seed)
+    x = _unit_columns(g.standard_normal((dim, m)) + 1j * g.standard_normal((dim, m)))
+    y = _unit_columns(g.standard_normal((dim, m)) + 1j * g.standard_normal((dim, m)))
+    _assert_same_set_and_model(x, y)
+
+
+@pytest.mark.parametrize(
+    "x, y, error",
+    [
+        pytest.param(np.ones(2), np.ones(2), ValidationError, id="1-d"),
+        pytest.param(np.zeros((2, 0)), np.zeros((2, 0)), ValidationError, id="no-columns"),
+        pytest.param(np.zeros((0, 2)), np.zeros((0, 2)), ValidationError, id="no-rows"),
+        pytest.param(np.eye(2), np.eye(4)[:, :2], DimensionMismatch, id="dims-differ"),
+        pytest.param(np.eye(2), np.eye(2)[:, :1], DimensionMismatch, id="counts-differ"),
+        pytest.param(np.eye(2), np.ones(2) / SQRT2, DimensionMismatch, id="ndims-differ"),
+    ],
+)
+def test_from_arrays_rejects_bad_shapes(x, y, error):
+    with pytest.raises(error):
+        TrainingSet.from_arrays(x, y)
+
+
+@pytest.mark.parametrize("side", ["input", "target"])
+@pytest.mark.parametrize(
+    "value, why",
+    [
+        (0.5, "state is not normalized: sum |a_i|^2 = 0.25"),
+        (1e200, "state is not normalized: sum |a_i|^2 = inf"),
+        (np.nan, "non-finite entry (nan or inf)"),
+        (np.inf, "non-finite entry (nan or inf)"),
+        (complex(0, -np.inf), "non-finite entry (nan or inf)"),
+    ],
+)
+def test_from_arrays_names_the_first_bad_column(side, value, why):
+    x, y = np.eye(4, dtype=complex), np.eye(4, dtype=complex)
+    a = x if side == "input" else y
+    a[:, 2] = [value, 0, 0, 0]
+    a[:, 3] = [0.5, 0, 0, 0]  # a later fault is not the one reported
+    with pytest.raises(ValidationError) as exc:
+        TrainingSet.from_arrays(x, y)
+    assert str(exc.value) == "pair 2 %s: %s" % (side, why)
+
+
+def test_from_arrays_reports_an_input_before_a_later_target():
+    x, y = np.eye(2, dtype=complex), np.eye(2, dtype=complex)
+    y[:, 0] = [2, 0]
+    x[:, 1] = [2, 0]
+    with pytest.raises(ValidationError, match="^pair 0 target: "):
+        TrainingSet.from_arrays(x, y)
+    y[:, 0] = [1, 0]
+    x[:, 0] = [np.nan, 0]
+    with pytest.raises(ValidationError, match=r"^pair 0 input: non-finite"):
+        TrainingSet.from_arrays(x, y)
+
+
+def test_from_arrays_holds_read_only_copies():
+    x = np.eye(2, dtype=complex)
+    y = np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2
+    s = TrainingSet.from_arrays(x, y)
+    assert not s.x.flags.writeable and not s.y.flags.writeable
+    assert s.x.flags.c_contiguous and s.y.flags.c_contiguous
+    with pytest.raises(ValueError):
+        s.x[0, 0] = 0
+    x[0, 0] = 5.0
+    y[:] = 0.0
+    np.testing.assert_array_equal(s.x, np.eye(2))
+    np.testing.assert_array_equal(s.y, np.array([[1, 1], [1, -1]]) / SQRT2)
+
+
+def test_from_arrays_accepts_nested_lists_and_real_arrays():
+    s = TrainingSet.from_arrays([[1, 0], [0, 1]], np.eye(2))
+    assert s.x.dtype == complex and s.completeness is Completeness.COMPLETE
+    assert (s.dim, len(s)) == (2, 2)
+
+
+def test_pairs_are_built_from_the_columns_on_each_call():
+    s = complete_training_set(standard_gate("H"))
+    first, again = s.pairs, s.pairs
+    assert first is not again and first[0] is not again[0]
+    for k, p in enumerate(s):
+        np.testing.assert_array_equal(p.input.amps, s.x[:, k])
+        np.testing.assert_array_equal(p.target.amps, s.y[:, k])

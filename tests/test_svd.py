@@ -281,6 +281,27 @@ def test_sigma_scales_with_the_input_without_overflow_or_underflow(seed, n, c, d
     assert res.rank == (0 if c < 1 else base.rank)
 
 
+def test_subnormal_input_scales_without_overflow():
+    # Dividing a complex array by a subnormal largest modulus overflows,
+    # so the pre-scale divides the real and imaginary parts instead.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = svd(Matrix(np.diag([1e-320, 1e-321])))
+    assert res.sigma == (1e-320, 1e-321)
+    assert res.rank == 0
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_non_contiguous_input_matches_the_oracle(rng, n):
+    a = _rand_complex(rng, n)
+    m = Matrix.wrap(a.T)
+    assert not m.array.flags.c_contiguous
+    res = svd(m)
+    np.testing.assert_allclose(res.sigma, np.linalg.svd(a.T, compute_uv=False), rtol=1e-12)
+    rebuilt = res.u.array @ np.diag(res.sigma) @ res.v_dag.array
+    np.testing.assert_allclose(rebuilt, a.T, rtol=0, atol=1e-12 * res.sigma[0])
+
+
 def test_rounds_cover_every_pair_once_in_disjoint_rounds():
     for n in range(2, 66):
         rounds = svd_module._rounds(n)
