@@ -35,7 +35,6 @@ from .linalg import (
     Matrix,
     StateVector,
     apply,
-    inner,
     is_unitary,
     max_abs_diff,
     normalize,
@@ -49,7 +48,6 @@ from .perceptron import (
     TrainingSet,
     classify_set,
     consistency_check,
-    fidelity,
     predict,
     total_weight,
     train,
@@ -95,10 +93,8 @@ __all__ = [
     "compose",
     "composite_gate",
     "consistency_check",
-    "fidelity",
     "fixture",
     "generate_set",
-    "inner",
     "is_unitary",
     "iterative_quantum_train",
     "max_abs_diff",

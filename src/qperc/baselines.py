@@ -82,22 +82,24 @@ def iterative_quantum_train(s: TrainingSet, cfg: IterativeConfig = IterativeConf
     w <- w + eta (|y_j> - w|x_j>) <x_j|.  After every pass the mean of
     ||w|x_j> - |y_j>|| over the set is recorded; training stops when
     it drops to stop_tol or max_iters passes have run, and raises
-    DivergenceDetected if it ever exceeds DIVERGENCE_LIMIT.
+    DivergenceDetected if it ever exceeds DIVERGENCE_LIMIT or is NaN
+    (a step large enough to overflow the weight).
     """
     w = _initial_weight(s.dim, cfg)
     errors = []
-    for t in range(1, cfg.max_iters + 1):
-        for x, y in zip(s.x.T, s.y.T):
-            r = y - w @ x
-            w = w + cfg.eta * np.outer(r, x.conj())
-        err = float(np.mean(np.linalg.norm(w @ s.x - s.y, axis=0)))
-        errors.append(err)
-        if err > DIVERGENCE_LIMIT:
-            raise DivergenceDetected(
-                "mean error %.3g after %d iteration(s) (eta too large?)" % (err, t)
-            )
-        if err <= cfg.stop_tol:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, cfg.max_iters + 1):
+            for x, y in zip(s.x.T, s.y.T):
+                r = y - w @ x
+                w = w + cfg.eta * np.outer(r, x.conj())
+            err = float(np.mean(np.linalg.norm(w @ s.x - s.y, axis=0)))
+            errors.append(err)
+            if not err <= DIVERGENCE_LIMIT:
+                raise DivergenceDetected(
+                    "mean error %.3g after %d iteration(s) (eta too large?)" % (err, t)
+                )
+            if err <= cfg.stop_tol:
+                break
     return IterativeResult(
         errors=tuple(errors),
         weight=Matrix(w),

@@ -1,6 +1,6 @@
 """Typed complex vectors and matrices plus the handful of operations
-the perceptron needs (tensor product, inner product,
-matrix-vector product, unitarity test).
+the perceptron needs (tensor product, matrix-vector product,
+unitarity test).
 
 Amplitudes are stored as immutable ``numpy`` arrays of ``complex128``.
 Construction validates shape, finiteness and (for states) the norm;
@@ -81,7 +81,8 @@ class StateVector:
         """Wrap amplitudes without the norm check.
 
         Used by :func:`apply`, whose result is deliberately not
-        renormalized; callers that care must inspect :meth:`norm`.
+        renormalized; callers that care must inspect
+        ``np.linalg.norm(v.amps)``.
         Finiteness is still enforced.
         """
         v = object.__new__(cls)
@@ -97,15 +98,6 @@ class StateVector:
 
     @property
     def dim(self) -> int:
-        return self._a.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._a))
-
-    def __getitem__(self, i):
-        return complex(self._a[i])
-
-    def __len__(self) -> int:
         return self._a.size
 
     def __repr__(self) -> str:
@@ -157,9 +149,6 @@ class Matrix:
     def shape(self):
         return self._m.shape
 
-    def __getitem__(self, ij):
-        return complex(self._m[ij])
-
     def __repr__(self) -> str:
         return "Matrix(%s)" % np.array2string(self._m, separator=", ")
 
@@ -183,13 +172,6 @@ def normalize(coeffs: Iterable[complex]) -> StateVector:
 def tensor(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker (tensor) product, row-major block layout."""
     return Matrix(np.kron(a.array, b.array))
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b> with the conjugation on the left argument."""
-    if a.dim != b.dim:
-        raise DimensionMismatch("inner product of dim %d with dim %d" % (a.dim, b.dim))
-    return complex(np.vdot(a.amps, b.amps))
 
 
 def apply(m: Matrix, x: StateVector) -> StateVector:

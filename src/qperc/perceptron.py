@@ -29,14 +29,11 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentTrainingSet, ValidationError
-from .linalg import NORM_TOL, Matrix, StateVector, apply, inner, max_abs_diff
+from .linalg import NORM_TOL, Matrix, StateVector, apply
 from .svd import svd, triangular_factor
 
 # Pairwise inner-product preservation slack accepted by train().
 CONSISTENCY_TOL = 1e-8
-
-# Default tolerance used by fidelity() in exact (phase-sensitive) mode.
-FIDELITY_TOL = 1e-9
 
 
 class Completeness(enum.Enum):
@@ -127,12 +124,6 @@ class TrainingSet:
         self._completeness = classify_set(x)
 
     @property
-    def pairs(self) -> Tuple[TrainingPair, ...]:
-        """The pairs, built anew from the columns on every call."""
-        state = StateVector.unchecked
-        return tuple(TrainingPair(state(a), state(b)) for a, b in zip(self._x.T, self._y.T))
-
-    @property
     def x(self) -> np.ndarray:
         """The inputs as the columns of a read-only dim x m array."""
         return self._x
@@ -152,9 +143,6 @@ class TrainingSet:
 
     def __len__(self) -> int:
         return self._x.shape[1]
-
-    def __iter__(self):
-        return iter(self.pairs)
 
     def __repr__(self) -> str:
         return "TrainingSet(dim=%d, pairs=%d, %s)" % (
@@ -258,6 +246,11 @@ def train(s: TrainingSet, force: bool = False) -> PerceptronModel:
     to fit the polar factor of the contradictory weight anyway); the
     slack allowed on inner-product preservation is CONSISTENCY_TOL.
 
+    With W = Y X† = u diag(sigma) v_dag, the polar factor u @ v_dag
+    minimises sum_i ||U x_i - y_i||^2 over all unitaries U: this is
+    orthogonal Procrustes (Schönemann, Psychometrika 1966).  So on an
+    inconsistent set, force=True gives the least-squares unitary.
+
     Parameters
     ----------
     s : TrainingSet
@@ -288,19 +281,3 @@ def predict(model: PerceptronModel, x: StateVector) -> StateVector:
     if x.dim != model.dim:
         raise DimensionMismatch("model dim %d, state dim %d" % (model.dim, x.dim))
     return apply(model.unitary, x)
-
-
-def fidelity(a: StateVector, b: StateVector, phase_invariant: bool = False, tol: float = FIDELITY_TOL) -> float:
-    """Agreement score between two states in [0, 1].
-
-    With phase_invariant=True this is |<a|b>|^2, blind to a global
-    phase.  Otherwise the comparison is exact and entrywise: 1.0 when
-    the largest amplitude difference is within tol, else 1 - min(d, 1)
-    where d is that difference.
-    """
-    if phase_invariant:
-        return float(abs(inner(a, b)) ** 2)
-    d = max_abs_diff(a, b)
-    if d <= tol:
-        return 1.0
-    return 1.0 - min(d, 1.0)

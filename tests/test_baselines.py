@@ -74,6 +74,11 @@ def test_iterative_divergence_detected():
     with pytest.raises(DivergenceDetected):
         iterative_quantum_train(_h_set(), IterativeConfig(eta=5.0, max_iters=1000, stop_tol=0.0))
     assert DIVERGENCE_LIMIT == 1e6
+    # The weight overflows in the first pass and the mean error is NaN,
+    # which no comparison with DIVERGENCE_LIMIT calls large.
+    s = generate_set(standard_gate("H"), "over", seed=3)
+    with pytest.raises(DivergenceDetected, match="mean error nan after 1 iteration"):
+        iterative_quantum_train(s, IterativeConfig(eta=1e200))
 
 
 def test_iterative_identity_init_starts_closer():
@@ -100,5 +105,5 @@ def test_final_error_is_the_mean_of_the_per_pair_errors():
     s = generate_set(standard_gate("CNOT"), "over", seed=3)
     res = iterative_quantum_train(s, IterativeConfig(max_iters=7))
     w = res.weight.array
-    ref = np.mean([np.linalg.norm(w @ p.input.amps - p.target.amps) for p in s])
+    ref = np.mean([np.linalg.norm(w @ a - b) for a, b in zip(s.x.T, s.y.T)])
     assert res.final_error == pytest.approx(ref, rel=1e-13, abs=1e-15)

@@ -6,6 +6,7 @@ import pytest
 
 from qperc.cli import main
 from qperc.gates import generate_set, standard_gate
+from qperc.perceptron import TrainingSet
 from qperc.serialize import parse_model, parse_training_set, serialize_training_set
 
 
@@ -164,7 +165,7 @@ def test_train_has_no_rank_tol_flag(tmp_path, capsys):
     assert len(_error_lines(captured.err)) == 1
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "abc"])
 def test_validate_rejects_non_finite_or_negative_tol(capsys, tol):
     assert main(["validate", "--tol", tol]) == 1
     captured = capsys.readouterr()
@@ -172,12 +173,20 @@ def test_validate_rejects_non_finite_or_negative_tol(capsys, tol):
     assert len(_error_lines(captured.err)) == 1
 
 
-@pytest.mark.parametrize("command", ["gen-set", "baseline"])
-def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, seed",
+    [
+        pytest.param("gen-set", "-1", id="gen-set"),
+        pytest.param("baseline", "-1", id="baseline"),
+        pytest.param("gen-set", "abc", id="gen-set-abc"),
+        pytest.param("baseline", "abc", id="baseline-abc"),
+    ],
+)
+def test_negative_seed_is_usage_error(tmp_path, capsys, command, seed):
     args = ["gen-set", "h", "--mode", "over"] if command == "gen-set" else [
         "baseline", _write_set(tmp_path, "h.json", "H", "complete"), "--init", "seeded"
     ]
-    assert main(args + ["--seed", "-1"]) == 1
+    assert main(args + ["--seed", seed]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(_error_lines(captured.err)) == 1
@@ -212,6 +221,7 @@ def test_malformed_set_file_exits_2(tmp_path, capsys, text):
     [
         pytest.param(lambda doc: doc.update(f=[[1, 0], [0]]), id="ragged-row"),
         pytest.param(lambda doc: doc["sigma"].__setitem__(0, "BIG"), id="400-digit-sigma"),
+        pytest.param(lambda doc: doc.update(f=[1, 0]), id="f-not-rows"),
     ],
 )
 def test_malformed_model_file_exits_2(tmp_path, capsys, edit):
@@ -242,6 +252,17 @@ def test_predict_human_output_labels_basis_states(tmp_path, capsys):
     assert main(["predict", str(out), "--state", "[0,0,0,0,0,0,0,1]"]) == 0
     text = capsys.readouterr().out
     assert "|110>" in text and "|111>" in text
+
+
+def test_predict_human_output_labels_other_dims_by_index(tmp_path, capsys):
+    set_path = tmp_path / "i3.json"
+    set_path.write_text(serialize_training_set(TrainingSet.from_arrays(np.eye(3), np.eye(3))))
+    out = tmp_path / "model.json"
+    assert main(["train", str(set_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["predict", str(out), "--state", "[0, 0, 1]"]) == 0
+    labels = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert labels == ["[0]", "[1]", "[2]"]
 
 
 def test_validate_all_examples(capsys):
@@ -342,6 +363,12 @@ def test_baseline_divergence_exits_3(tmp_path, capsys):
     set_path = _write_set(tmp_path, "h.json", "H", "complete")
     assert main(["baseline", set_path, "--eta", "5.0", "--stop-tol", "0"]) == 3
     assert "error" in capsys.readouterr().err
+    # An overflow to a NaN mean error diverges too, without a warning.
+    set_path = _write_set(tmp_path, "h-over.json", "H", "over", seed=3)
+    assert main(["baseline", set_path, "--eta", "1e200"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _error_lines(captured.err) == ["error: mean error nan after 1 iteration(s) (eta too large?)"]
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

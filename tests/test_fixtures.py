@@ -4,7 +4,7 @@ import pytest
 from qperc.errors import ValidationError
 from qperc.fixtures import FIXTURE_IDS, all_fixtures, fixture, run_fixture
 from qperc.gates import standard_gate
-from qperc.linalg import is_unitary, max_abs_diff
+from qperc.linalg import StateVector, is_unitary, max_abs_diff
 from qperc.perceptron import Completeness, consistency_check, predict, train
 
 
@@ -84,5 +84,5 @@ def test_pair_errors_match_the_per_pair_predictions():
     # Reference: predict each input on its own and compare with its target.
     for fx in all_fixtures():
         model = train(fx.training)
-        for pr, p in zip(run_fixture(fx.id).pairs, fx.training):
-            assert pr.max_err == pytest.approx(max_abs_diff(predict(model, p.input), p.target), abs=1e-15)
+        for pr, a, b in zip(run_fixture(fx.id).pairs, fx.training.x.T, fx.training.y.T):
+            assert pr.max_err == pytest.approx(max_abs_diff(predict(model, StateVector(a)), b), abs=1e-15)

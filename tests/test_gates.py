@@ -145,9 +145,9 @@ def test_complete_training_set_covers_the_basis():
     s = complete_training_set(g)
     assert len(s) == 4
     assert s.completeness is Completeness.COMPLETE
-    for k, p in enumerate(s):
-        np.testing.assert_array_equal(p.input.amps, np.eye(4)[k])
-        np.testing.assert_array_equal(p.target.amps, g.matrix.array[:, k])
+    for k, (a, b) in enumerate(zip(s.x.T, s.y.T)):
+        np.testing.assert_array_equal(a, np.eye(4)[k])
+        np.testing.assert_array_equal(b, g.matrix.array[:, k])
 
 
 def test_training_on_complete_set_recovers_each_gate():
@@ -173,11 +173,10 @@ def test_generate_set_is_deterministic():
     g = standard_gate("Toffoli")
     s1 = generate_set(g, "over", seed=5)
     s2 = generate_set(g, "over", seed=5)
-    for p1, p2 in zip(s1, s2):
-        np.testing.assert_array_equal(p1.input.amps, p2.input.amps)
-        np.testing.assert_array_equal(p1.target.amps, p2.target.amps)
+    np.testing.assert_array_equal(s1.x, s2.x)
+    np.testing.assert_array_equal(s1.y, s2.y)
     s3 = generate_set(g, "over", seed=6)
-    assert max_abs_diff(s1.pairs[-1].input, s3.pairs[-1].input) > 1e-3
+    assert max_abs_diff(s1.x[:, -1], s3.x[:, -1]) > 1e-3
 
 
 def test_generate_set_rejects_unknown_mode():

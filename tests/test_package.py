@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 
 import qperc
-from qperc import cli, perceptron
+from qperc import cli, linalg, perceptron
 
-REMOVED = ("ClassicalResult", "classical_perceptron_train", "oracle_uf", "BadTableLength")
+REMOVED = ("ClassicalResult", "classical_perceptron_train", "oracle_uf", "BadTableLength", "fidelity", "inner")
 
 
 def test_every_exported_name_resolves_once():
@@ -16,6 +17,23 @@ def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert name not in qperc.__all__
         assert not hasattr(qperc, name), name
+    assert not hasattr(perceptron, "fidelity") and not hasattr(perceptron, "FIDELITY_TOL")
+    assert not hasattr(linalg, "inner")
+
+
+def test_removed_accessors_are_gone():
+    s = qperc.TrainingSet.from_arrays(np.eye(2), np.eye(2))
+    assert not hasattr(s, "pairs")
+    with pytest.raises(TypeError):
+        iter(s)
+    v = qperc.StateVector.basis(2, 0)
+    for name in ("norm", "__getitem__", "__len__"):
+        assert not hasattr(v, name), name
+    assert not hasattr(qperc.Matrix.identity(2), "__getitem__")
+    # The names these removals keep.
+    assert len(s) == 2 and qperc.StateVector.unchecked(v.amps).dim == 2
+    for name in ("TrainingPair", "apply", "polar_unitary", "compose", "tensor", "max_abs_diff"):
+        assert name in qperc.__all__, name
 
 
 # The layers perfbench/tracing.py times, each by the name its caller

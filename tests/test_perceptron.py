@@ -16,7 +16,6 @@ from qperc.perceptron import (
     TrainingSet,
     classify_set,
     consistency_check,
-    fidelity,
     predict,
     total_weight,
     train,
@@ -30,12 +29,16 @@ def _pair(x, y):
     return TrainingPair(normalize(x), normalize(y))
 
 
-def _example1_set():
-    return TrainingSet([
+def _example1_pairs():
+    return [
         _pair([1, 0], [1, 1]),
         _pair([0, 1], [1, -1]),
         _pair([1, 2], [3, -1]),
-    ])
+    ]
+
+
+def _example1_set():
+    return TrainingSet(_example1_pairs())
 
 
 def _contradictory_set():
@@ -166,8 +169,8 @@ def test_train_performs_exactly_one_svd(monkeypatch):
 def test_predict_reproduces_training_targets():
     s = _example1_set()
     model = train(s)
-    for p in s:
-        assert max_abs_diff(predict(model, p.input), p.target) < 1e-9
+    for a, b in zip(s.x.T, s.y.T):
+        assert max_abs_diff(predict(model, StateVector(a)), b) < 1e-9
 
 
 def test_predict_dimension_mismatch():
@@ -239,40 +242,13 @@ def test_completeness_str_values():
     assert str(Completeness.OVER_COMPLETE) == "OverComplete"
 
 
-def test_fidelity_exact_mode():
-    x = normalize([1, 1])
-    assert fidelity(x, x) == 1.0
-    # difference of 2/sqrt(2) > 1 clamps to zero
-    assert fidelity(x, normalize([1, -1])) == 0.0
-    # moderate difference scores linearly
-    assert fidelity(x, StateVector.basis(2, 0)) == pytest.approx(1.0 - 1 / SQRT2)
-
-
-def test_fidelity_tolerance_boundary():
-    x = StateVector.basis(2, 0)
-    y = StateVector.unchecked([1.0 + 5e-10, 0.0])
-    assert fidelity(x, y) == 1.0
-    z = StateVector.unchecked([1.0 + 5e-7, 0.0])
-    assert fidelity(x, z) < 1.0
-
-
-def test_fidelity_phase_invariant_mode():
-    x = normalize([1, 1j])
-    shifted = StateVector(np.exp(0.3j) * x.amps)
-    assert fidelity(x, shifted, phase_invariant=True) == pytest.approx(1.0)
-    assert fidelity(x, shifted) < 1.0
-    e0 = StateVector.basis(2, 0)
-    e1 = StateVector.basis(2, 1)
-    assert fidelity(e0, e1, phase_invariant=True) == pytest.approx(0.0)
-
-
 def _pairwise_consistency(s):
     """Reference: the O(m^2) pairwise loop, first strict maximum wins."""
     worst, worst_pair = 0.0, None
-    ps = s.pairs
-    for i in range(len(ps)):
-        for j in range(i + 1, len(ps)):
-            d = abs(np.vdot(ps[i].input.amps, ps[j].input.amps) - np.vdot(ps[i].target.amps, ps[j].target.amps))
+    x, y = s.x.T, s.y.T
+    for i in range(len(s)):
+        for j in range(i + 1, len(s)):
+            d = abs(np.vdot(x[i], x[j]) - np.vdot(y[i], y[j]))
             if d > worst:
                 worst, worst_pair = d, (i, j)
     return worst, worst_pair
@@ -335,13 +311,13 @@ def test_consistency_check_matches_the_pairwise_loop(s):
     # between near ties, and then it is as bad as the loop's choice.
     i, j = rep.worst_pair
     assert i < j
-    d = abs(np.vdot(s.pairs[i].input.amps, s.pairs[j].input.amps) - np.vdot(s.pairs[i].target.amps, s.pairs[j].target.amps))
+    d = abs(np.vdot(s.x[:, i], s.x[:, j]) - np.vdot(s.y[:, i], s.y[:, j]))
     assert d >= worst - 1e-12
 
 
 @given(s=_sets())
 def test_total_weight_is_the_sum_of_pair_weights(s):
-    ref = sum(np.outer(p.target.amps, p.input.amps.conj()) for p in s)
+    ref = sum(np.outer(b, a.conj()) for a, b in zip(s.x.T, s.y.T))
     np.testing.assert_allclose(total_weight(s).array, ref, rtol=0, atol=1e-12 * len(s))
 
 
@@ -359,9 +335,10 @@ def test_completeness_matches_the_oracle_rank(s):
 
 
 def test_training_set_holds_inputs_and_targets_as_read_only_columns():
-    s = _example1_set()
-    np.testing.assert_array_equal(s.x, np.stack([p.input.amps for p in s], axis=1))
-    np.testing.assert_array_equal(s.y, np.stack([p.target.amps for p in s], axis=1))
+    pairs = _example1_pairs()
+    s = TrainingSet(pairs)
+    np.testing.assert_array_equal(s.x, np.stack([p.input.amps for p in pairs], axis=1))
+    np.testing.assert_array_equal(s.y, np.stack([p.target.amps for p in pairs], axis=1))
     assert not s.x.flags.writeable and not s.y.flags.writeable
 
 
@@ -374,6 +351,22 @@ def test_train_on_less_complete_sets_is_unitary_and_meets_every_target(seed, dim
     assert model.rank == r
     assert is_unitary(model.unitary, 1e-10)
     assert np.max(np.abs(model.unitary.array @ s.x - s.y)) <= 1e-9
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8), data=st.data())
+def test_forced_train_is_the_least_squares_unitary(seed, dim, data):
+    # Orthogonal Procrustes: no unitary, the generating Q included,
+    # fits noisy targets Y = Q X + noise better than the polar factor.
+    m = data.draw(st.integers(1, 4 * dim), label="m")
+    rank = data.draw(st.integers(1, min(dim, m)), label="rank")
+    eps = 10.0 ** data.draw(st.floats(-6.0, math.log10(0.5)), label="log10 eps")
+    g = np.random.default_rng(seed)
+    basis = g.standard_normal((dim, rank)) + 1j * g.standard_normal((dim, rank))
+    x = _unit_columns(basis @ (g.standard_normal((rank, m)) + 1j * g.standard_normal((rank, m))))
+    q, _ = np.linalg.qr(g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim)))
+    y = _unit_columns(q @ x + eps * (g.standard_normal((dim, m)) + 1j * g.standard_normal((dim, m))))
+    u = train(TrainingSet.from_arrays(x, y), force=True).unitary.array
+    assert np.linalg.norm(u @ x - y) <= np.linalg.norm(q @ x - y) + 1e-10
 
 
 def _pairs_from_columns(x, y):
@@ -395,11 +388,7 @@ def test_from_arrays_matches_the_pairs_on_every_fixture():
     from qperc.fixtures import all_fixtures
 
     for fx in all_fixtures():
-        pairs = fx.training.pairs
-        _assert_same_set_and_model(
-            np.stack([p.input.amps for p in pairs], axis=1),
-            np.stack([p.target.amps for p in pairs], axis=1),
-        )
+        _assert_same_set_and_model(fx.training.x, fx.training.y)
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8), data=st.data())
@@ -478,12 +467,3 @@ def test_from_arrays_accepts_nested_lists_and_real_arrays():
     s = TrainingSet.from_arrays([[1, 0], [0, 1]], np.eye(2))
     assert s.x.dtype == complex and s.completeness is Completeness.COMPLETE
     assert (s.dim, len(s)) == (2, 2)
-
-
-def test_pairs_are_built_from_the_columns_on_each_call():
-    s = complete_training_set(standard_gate("H"))
-    first, again = s.pairs, s.pairs
-    assert first is not again and first[0] is not again[0]
-    for k, p in enumerate(s):
-        np.testing.assert_array_equal(p.input.amps, s.x[:, k])
-        np.testing.assert_array_equal(p.target.amps, s.y[:, k])

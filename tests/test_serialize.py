@@ -39,9 +39,8 @@ def test_training_set_roundtrip_is_bit_exact(seed, dim, data):
 def test_surd_amplitudes_roundtrip_exactly():
     s = fixture(13).training
     back = _roundtrip_set(s)
-    for p, q in zip(s, back):
-        assert p.input.amps.tolist() == q.input.amps.tolist()
-        assert p.target.amps.tolist() == q.target.amps.tolist()
+    assert s.x.tolist() == back.x.tolist()
+    assert s.y.tolist() == back.y.tolist()
 
 
 def test_metadata_is_written():
@@ -95,8 +94,13 @@ def test_parse_dim_mismatch_names_the_pair():
     assert "pair 0" in str(exc.value)
 
 
-def test_model_roundtrip_is_bit_exact():
-    model = train(fixture(7).training)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 16), data=st.data())
+def test_model_roundtrip_is_bit_exact(seed, dim, data):
+    m = data.draw(st.integers(1, 4 * dim), label="m")
+    g = np.random.default_rng(seed)
+    x, y = g.standard_normal((2, dim, m)) + 1j * g.standard_normal((2, dim, m))
+    s = TrainingSet.from_arrays(x / np.linalg.norm(x, axis=0), y / np.linalg.norm(y, axis=0))
+    model = train(s, force=True)
     back = parse_model(serialize_model(model))
     assert back.dim == model.dim
     assert back.rank == model.rank
@@ -122,6 +126,8 @@ def test_model_parse_validates_shapes():
     del broken["unitary"]
     with pytest.raises(ParseError):
         parse_model(json.dumps(broken))
+    with pytest.raises(ParseError, match="top level must be an object"):
+        parse_model(json.dumps([doc]))
 
 
 def test_parse_state_accepts_reals_and_pairs():
@@ -131,7 +137,7 @@ def test_parse_state_accepts_reals_and_pairs():
     np.testing.assert_array_equal(y.amps, [0.6, 0.8j])
     half = 1 / math.sqrt(2)
     z = parse_state(json.dumps([[half, 0], [half, 0]]))
-    assert z.norm() == pytest.approx(1.0)
+    assert np.linalg.norm(z.amps) == pytest.approx(1.0)
 
 
 def test_parse_state_rejects_bad_input():
@@ -199,3 +205,12 @@ def test_dim_true_is_rejected():
         parse_training_set(json.dumps(dict(set_doc, dim=True)))
     with pytest.raises(ParseError):
         parse_model(json.dumps(dict(model_doc, dim=True)))
+
+
+@pytest.mark.parametrize("rank", [1.0, True])
+def test_rank_must_be_an_integer(rank):
+    # The dim-1 model has rank 1, which 1.0 and True both equal.
+    doc = json.loads(serialize_model(train(TrainingSet([TrainingPair(normalize([1]), normalize([1]))]))))
+    assert parse_model(json.dumps(doc)).rank == doc["rank"] == rank
+    with pytest.raises(ValidationError, match="'rank' must be an integer"):
+        parse_model(json.dumps(dict(doc, rank=rank)))
