@@ -10,9 +10,11 @@ is u @ v_dag.  There is no update loop; one SVD is the whole of
 training.
 
 Consistency compares the Gram matrices X†X and Y†Y entrywise, and the
-completeness class comes from the rank of X: by a Jacobi SVD of X
-itself when m = dim, and of the square R of a Householder QR of X†
-when m > dim (fewer than dim inputs cannot span the space).
+completeness class comes from the rank of X, read from singular values
+alone: those of X itself when m = dim, and of the square R of a
+Householder QR of X† when m > dim (fewer than dim inputs cannot span
+the space).  No singular vectors are formed, so the weight's is the
+only full SVD a fit makes.
 
 For a consistent training set (one whose pairs preserve pairwise inner
 products, i.e. could have come from some unitary) the learned operator
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InconsistentTrainingSet, ValidationError
 from .linalg import NORM_TOL, Matrix, StateVector, apply
-from .svd import svd, triangular_factor
+from .svd import numerical_rank, singular_values, svd, triangular_factor
 
 # Pairwise inner-product preservation slack accepted by train().
 CONSISTENCY_TOL = 1e-8
@@ -193,11 +195,12 @@ def classify_set(x: np.ndarray) -> Completeness:
 
     x holds the inputs as its columns (dim x m).  Fewer than dim inputs
     cannot span the space.  Otherwise the rank is the number of
-    singular values of x above DEFAULT_RANK_TOL * max(1, sigma_max),
-    taken from a Jacobi SVD of x when it is square, and of the dim x dim
-    R of a Householder QR of x† when it is tall (R has the singular
-    values of x).  The Gram matrix x x† is never formed: it would square
-    the condition number.
+    singular values of x above DEFAULT_RANK_TOL * max(1, sigma_max).
+    Only singular values are computed (:func:`singular_values`, no U or
+    V): those of x when it is square, and of the dim x dim R of a
+    Householder QR of x† when it is tall (R has the singular values of
+    x).  The Gram matrix x x† is never formed: it would square the
+    condition number.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.size == 0:
@@ -206,7 +209,7 @@ def classify_set(x: np.ndarray) -> Completeness:
     if count < dim:
         return Completeness.LESS_COMPLETE
     a = x if count == dim else triangular_factor(x.conj().T)
-    if svd(Matrix.wrap(a)).rank < dim:
+    if numerical_rank(singular_values(a)) < dim:
         return Completeness.LESS_COMPLETE
     if count == dim:
         return Completeness.COMPLETE

@@ -155,8 +155,9 @@ def parse_model(text: str) -> PerceptronModel:
     """Parse a model file.
 
     Raises ParseError when the JSON or its shape is wrong, and
-    ValidationError when the model contradicts itself: "unitary" is
-    not unitary, or differs from f @ w_new, at DEFAULT_UNITARY_TOL;
+    ValidationError when the model contradicts itself: "f", "w_new" or
+    "unitary" is not unitary, or "unitary" differs from f @ w_new, at
+    DEFAULT_UNITARY_TOL;
     "sigma" is not finite, non-negative and descending; or "rank" is
     not the number of sigma above DEFAULT_RANK_TOL * max(1, sigma[0]).
     Keys it does not know are ignored, so files of older versions,
@@ -189,8 +190,9 @@ def parse_model(text: str) -> PerceptronModel:
     expected = numerical_rank(sigma)
     if rank != expected:
         raise ValidationError("'rank' is %r but %d of 'sigma' exceed the rank cutoff" % (rank, expected))
-    if not is_unitary(unitary):
-        raise ValidationError("'unitary' is not unitary at %g" % DEFAULT_UNITARY_TOL)
+    for name, m in (("f", f), ("w_new", w_new), ("unitary", unitary)):
+        if not is_unitary(m):
+            raise ValidationError("%r is not unitary at %g" % (name, DEFAULT_UNITARY_TOL))
     if max_abs_diff(unitary, f.array @ w_new.array) > DEFAULT_UNITARY_TOL:
         raise ValidationError("'unitary' differs from f @ w_new by more than %g" % DEFAULT_UNITARY_TOL)
     return PerceptronModel(

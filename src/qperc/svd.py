@@ -19,6 +19,12 @@ rounding; it is deflated, that is, never rotated again, and its U
 direction is completed from the canonical basis instead of normalized
 (LAPACK's zgesvj deflates in the same way).
 
+When only the singular values are wanted, :func:`singular_values`
+sweeps a alone: no V is accumulated, which halves the rotation work,
+and no U, phase or null-space completion is formed.  Its values are
+those of :func:`svd`, bit for bit, since the rotations of a never read
+V.
+
 Two kernels sweep the pairs, with the same stop test, deflation and
 rotation.  Below order _VECTOR_MIN, :func:`_jacobi_orthogonalize`
 visits the pairs one at a time in row order.  From _VECTOR_MIN on,
@@ -26,9 +32,11 @@ visits the pairs one at a time in row order.  From _VECTOR_MIN on,
 Brent and Luk ("The solution of singular-value and symmetric
 eigenvalue problems on multiprocessor arrays", SIAM J. Sci. Stat.
 Comput. 1985): n - 1 rounds of n/2 pairs that share no column, each
-round tested and rotated by a few array operations.  The array
-operations cost more per call than the scalar loop's, so the scalar
-loop is faster on small matrices.  Both end at the same contract
+round tested and rotated by a few array operations.  A round's norms
+and couplings are two ``np.vecdot`` calls on its gathered columns
+(vecdot conjugates its first argument, so no conjugate copy is made).
+The array operations cost more per call than the scalar loop's, so the
+scalar loop is faster on small matrices.  Both end at the same contract
 below, and their factors agree to rounding wherever the SVD is unique.
 
 The output is made deterministic: singular values are sorted in
@@ -39,8 +47,8 @@ the product U diag(sigma) V† is untouched.
 
 :func:`triangular_factor` is the R of a Householder QR.  The singular
 values of a tall matrix are those of its square R, so a rank can be
-taken from a Jacobi SVD of R (the preconditioning of Drmač and Veselić,
-"New fast and accurate Jacobi SVD algorithm", SIMAX 2008).
+taken from the singular values of R (the preconditioning of Drmač and
+Veselić, "New fast and accurate Jacobi SVD algorithm", SIMAX 2008).
 """
 
 from __future__ import annotations
@@ -98,9 +106,10 @@ class SvdResult:
 def _jacobi_orthogonalize(av: np.ndarray, max_sweeps: int) -> None:
     """Rotate the columns of av = [a; v] (a over v, each n x n) in
     place until the columns of a are mutually orthogonal; v collects
-    the rotations, so a_out = a_in @ v_out when v starts as I.  Expects
-    a at unit Frobenius norm and av column-major, so one update rotates
-    both halves of a contiguous column."""
+    the rotations, so a_out = a_in @ v_out when v starts as I.  av may
+    also be a alone (n rows), when only the singular values are wanted.
+    Expects a at unit Frobenius norm and av column-major, so one update
+    rotates both halves of a contiguous column."""
     n = av.shape[1]
     a = av[:n]
     # Squared norm at or below which a column is deflated.
@@ -191,11 +200,11 @@ def _jacobi_rounds(av: np.ndarray, max_sweeps: int) -> None:
     """The contract of :func:`_jacobi_orthogonalize`, with each sweep
     taken as the rounds of :func:`_rounds`.  The pairs of a round share
     no column, so all of them are tested and rotated by a few array
-    operations at once, the a half first and then the v half.  Each
-    temporary is dropped once spent and the rotation is done in place,
-    so at most one gathered half and two products of its size are
-    alive at once: the rounds run inside training, whose peak memory
-    is measured."""
+    operations at once, the a half first and then the v half, if av
+    has one.  Each temporary is dropped once spent and the rotation is
+    done in place, so at most one gathered half and two products of
+    its size are alive at once: the rounds run inside training, whose
+    peak memory is measured."""
     n = av.shape[1]
     a = av[:n]
     v = av[n:]
@@ -205,10 +214,9 @@ def _jacobi_rounds(av: np.ndarray, max_sweeps: int) -> None:
         for pq in _rounds(n):
             k = len(pq) // 2
             apq = a[:, pq]
-            apqc = apq.conj()
-            norms = np.einsum("ij,ij->j", apqc, apq).real
-            gamma = np.einsum("ij,ij->j", apqc[:, :k], apq[:, k:])
-            del apqc
+            # vecdot conjugates its first argument.
+            norms = np.vecdot(apq, apq, axis=0).real
+            gamma = np.vecdot(apq[:, :k], apq[:, k:], axis=0)
             alpha = norms[:k]
             beta = norms[k:]
             g = np.abs(gamma)
@@ -230,7 +238,8 @@ def _jacobi_rounds(av: np.ndarray, max_sweeps: int) -> None:
             c = c.astype(complex)
             _rotate(a, pq, apq, c, to_q, to_p)
             del apq
-            _rotate(v, pq, v[:, pq], c, to_q, to_p)
+            if len(v):
+                _rotate(v, pq, v[:, pq], c, to_q, to_p)
             rotated = True
         if not rotated:
             return
@@ -271,6 +280,49 @@ def numerical_rank(sigma) -> int:
     return sum(s > cut for s in sigma)
 
 
+def _orthogonalized(a: np.ndarray, with_v: bool, max_sweeps: int):
+    """(work, fro, amax): the square array a / (amax * fro), at unit
+    Frobenius norm, swept by the Jacobi kernel for its order until its
+    columns are orthogonal.  work is [a; v] (2n rows, v from I) when
+    with_v, else a alone (n rows).  The kernels never read v to rotate
+    a, so work[:n] is the same, bit for bit, in both forms."""
+    n = a.shape[0]
+    # Work at unit Frobenius norm so the convergence thresholds are
+    # scale free and column products cannot underflow.  The norm is
+    # taken after dividing by the largest modulus, because the squares
+    # of entries below about 1e-162 underflow and of those above about
+    # 1e154 overflow; it divides the float view, as a complex division
+    # by a subnormal amax overflows.  The scaled copy is dropped before
+    # the sweeps.
+    a = np.ascontiguousarray(a, dtype=complex)
+    amax = float(np.abs(a).max()) or 1.0
+    b = (a.view(float) / amax).view(complex)
+    fro = math.sqrt(np.vdot(b, b).real) or 1.0
+    work = np.zeros((2 * n if with_v else n, n), dtype=complex, order="F")
+    np.divide(b, fro, out=work[:n])
+    del b
+    if with_v:
+        np.fill_diagonal(work[n:], 1.0)
+    if n >= _VECTOR_MIN:
+        _jacobi_rounds(work, max_sweeps)
+    else:
+        _jacobi_orthogonalize(work, max_sweeps)
+    return work, fro, amax
+
+
+def singular_values(a) -> tuple:
+    """The singular values of a square complex array, descending, as a
+    tuple of floats: the ``sigma`` of :func:`svd`, bit for bit, for
+    about half its rotation work, since no V is accumulated and no U
+    is formed.  Raises NotSquare unless a is square."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NotSquare("svd here is restricted to square matrices, got shape %s" % (a.shape,))
+    work, fro, amax = _orthogonalized(a, False, MAX_SWEEPS)
+    norms = np.sort(np.linalg.norm(work, axis=0))[::-1]
+    return tuple(float(x) for x in norms * fro * amax)
+
+
 def svd(m: Matrix, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
     """Decompose a square complex matrix as u @ diag(sigma) @ v_dag.
 
@@ -290,25 +342,7 @@ def svd(m: Matrix, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
     if m.rows != m.cols:
         raise NotSquare("svd here is restricted to square matrices, got %dx%d" % m.shape)
     n = m.rows
-    # Work at unit Frobenius norm so the convergence thresholds are
-    # scale free and column products cannot underflow.  The norm is
-    # taken after dividing by the largest modulus, because the squares
-    # of entries below about 1e-162 underflow and of those above about
-    # 1e154 overflow; it divides the float view, as a complex division
-    # by a subnormal amax overflows.  The scaled copy is dropped before
-    # the sweeps.
-    a = np.ascontiguousarray(m.array)
-    amax = float(np.abs(a).max()) or 1.0
-    b = (a.view(float) / amax).view(complex)
-    fro = math.sqrt(np.vdot(b, b).real) or 1.0
-    av = np.zeros((2 * n, n), dtype=complex, order="F")
-    np.divide(b, fro, out=av[:n])
-    del b
-    np.fill_diagonal(av[n:], 1.0)
-    if n >= _VECTOR_MIN:
-        _jacobi_rounds(av, max_sweeps)
-    else:
-        _jacobi_orthogonalize(av, max_sweeps)
+    av, fro, amax = _orthogonalized(m.array, True, max_sweeps)
 
     norms = np.linalg.norm(av[:n], axis=0)
     order = np.argsort(-norms, kind="stable")

@@ -86,6 +86,11 @@ def _error_lines(err):
 BIG = "1" + "0" * 400
 
 
+def _diag2(c):
+    """c times the 2x2 identity, as a model file writes a matrix."""
+    return [[[c, 0.0], [0.0, 0.0]], [[0.0, 0.0], [c, 0.0]]]
+
+
 @pytest.mark.parametrize(
     "state",
     ['["a", 1]', "[[1]]", "[1, [0]]", "[true, 1]", "{}", "[]", "[0, 0]", pytest.param("[%s, 0]" % BIG, id="400-digit")],
@@ -222,6 +227,10 @@ def test_malformed_set_file_exits_2(tmp_path, capsys, text):
         pytest.param(lambda doc: doc.update(f=[[1, 0], [0]]), id="ragged-row"),
         pytest.param(lambda doc: doc["sigma"].__setitem__(0, "BIG"), id="400-digit-sigma"),
         pytest.param(lambda doc: doc.update(f=[1, 0]), id="f-not-rows"),
+        # f @ w_new = I = "unitary", but neither factor is unitary.
+        pytest.param(
+            lambda doc: doc.update(f=_diag2(2.0), w_new=_diag2(0.5), unitary=_diag2(1.0)), id="f-2I-w_new-I/2"
+        ),
     ],
 )
 def test_malformed_model_file_exits_2(tmp_path, capsys, edit):

@@ -3,6 +3,9 @@ import pytest
 
 import qperc
 from qperc import cli, linalg, perceptron
+from qperc.gates import generate_set, standard_gate
+from qperc.linalg import Matrix
+from qperc.svd import svd, triangular_factor
 
 REMOVED = ("ClassicalResult", "classical_perceptron_train", "oracle_uf", "BadTableLength", "fidelity", "inner")
 
@@ -76,3 +79,54 @@ def test_every_timed_layer_is_called_through_its_hook(tmp_path, monkeypatch, cap
     assert cli.main(["validate", "--example", "1"]) == 0
     capsys.readouterr()
     assert all(calls.values()), calls
+
+
+def test_classify_makes_no_svd_call_and_train_makes_exactly_one(monkeypatch):
+    calls = {"n": 0}
+
+    def counted(*args, _fn=perceptron.svd, **kwargs):
+        calls["n"] += 1
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(perceptron, "svd", counted)
+    g = np.random.default_rng(7)
+    for dim, m in ((4, 4), (4, 9), (12, 12), (12, 30), (32, 32)):
+        x = g.standard_normal((dim, m)) + 1j * g.standard_normal((dim, m))
+        x /= np.linalg.norm(x, axis=0)
+        s = qperc.TrainingSet.from_arrays(x, x)
+        assert perceptron.classify_set(x) is s.completeness
+        assert calls["n"] == 0
+        qperc.train(s)
+        assert calls["n"] == 1
+        calls["n"] = 0
+
+
+def _class_by_full_svd(x):
+    """classify_set's decision with the rank taken from a full svd, as
+    it was made before classification read singular values alone."""
+    dim, count = x.shape
+    if count < dim:
+        return perceptron.Completeness.LESS_COMPLETE
+    a = x if count == dim else triangular_factor(x.conj().T)
+    if svd(Matrix.wrap(a)).rank < dim:
+        return perceptron.Completeness.LESS_COMPLETE
+    return perceptron.Completeness.COMPLETE if count == dim else perceptron.Completeness.OVER_COMPLETE
+
+
+GATE_NAMES = ("I", "X", "H", "S", "T", "CNOT", "Toffoli", "Fredkin", "composite")
+MODE_CLASS = {
+    "complete": perceptron.Completeness.COMPLETE,
+    "over": perceptron.Completeness.OVER_COMPLETE,
+    "less": perceptron.Completeness.LESS_COMPLETE,
+}
+
+
+def test_completeness_classes_are_unchanged():
+    for f in qperc.all_fixtures():
+        assert f.training.completeness is f.completeness is _class_by_full_svd(f.training.x), f.name
+    for name in GATE_NAMES:
+        gate = standard_gate(name)
+        for mode, want in MODE_CLASS.items():
+            for seed in range(21):
+                s = generate_set(gate, mode, seed=seed)
+                assert s.completeness is want is _class_by_full_svd(s.x), (name, mode, seed)

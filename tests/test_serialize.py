@@ -170,7 +170,16 @@ def _swap_first_two_sigma(doc):
     doc["sigma"][0], doc["sigma"][1] = doc["sigma"][1], doc["sigma"][0]
 
 
-TWICE_IDENTITY = [[[2.0 * (i == j), 0.0] for j in range(4)] for i in range(4)]
+def _scaled_identity(c, dim=4):
+    return [[[c * (i == j), 0.0] for j in range(dim)] for i in range(dim)]
+
+
+TWICE_IDENTITY = _scaled_identity(2.0)
+
+
+def _non_unitary_factors(doc):
+    # f @ w_new = I is unitary and equals "unitary", but neither factor is.
+    doc.update(f=TWICE_IDENTITY, w_new=_scaled_identity(0.5), unitary=_scaled_identity(1.0))
 
 
 @pytest.mark.parametrize(
@@ -178,6 +187,7 @@ TWICE_IDENTITY = [[[2.0 * (i == j), 0.0] for j in range(4)] for i in range(4)]
     [
         pytest.param(lambda doc: doc.update(unitary=TWICE_IDENTITY), id="unitary-2I"),
         pytest.param(lambda doc: doc.update(unitary=doc["f"]), id="unitary-not-f-w_new"),
+        pytest.param(_non_unitary_factors, id="f-2I-w_new-I/2"),
         pytest.param(_set_sigma(0, "1e999"), id="sigma-inf"),
         pytest.param(_set_sigma(0, "NaN"), id="sigma-nan"),
         pytest.param(_set_sigma(-1, -1e-3), id="sigma-negative"),

@@ -7,12 +7,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperc.errors import NotSquare, NumericalFailure
 from qperc.linalg import Matrix, normalize
-from qperc.svd import polar_unitary, svd, triangular_factor
+from qperc.svd import numerical_rank, polar_unitary, singular_values, svd, triangular_factor
 
 # The module itself: the package exports a function of the same name.
 svd_module = importlib.import_module("qperc.svd")
@@ -316,24 +316,33 @@ def test_rounds_cover_every_pair_once_in_disjoint_rounds():
         assert sorted(pairs) == list(itertools.combinations(range(n), 2))
 
 
+SPECTRA = ["full", "deficient", "graded", "clustered"]
+
+
+def _spectrum_case(seed, n, kind, data):
+    """An n x n complex matrix: random (full), a product through a
+    drawn inner rank below n (deficient), or with singular values
+    graded over nine decades or clustered within 1e-9 of one."""
+    g = np.random.default_rng(seed)
+    if kind == "full":
+        return _rand_complex(g, n)
+    if kind == "deficient":
+        r = data.draw(st.integers(0, n - 1), label="r")
+        return (g.standard_normal((n, r)) + 1j * g.standard_normal((n, r))) @ (
+            g.standard_normal((r, n)) + 1j * g.standard_normal((r, n))
+        )
+    s = 10.0 ** -np.linspace(0, 9, n) if kind == "graded" else 1.0 + 1e-9 * g.standard_normal(n)
+    return _rand_unitary(g, n) @ np.diag(s) @ _rand_unitary(g, n)
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(9, 40),
-    kind=st.sampled_from(["full", "deficient", "graded", "clustered"]),
+    kind=st.sampled_from(SPECTRA),
     data=st.data(),
 )
 def test_round_robin_kernel_matches_the_oracle(seed, n, kind, data):
-    g = np.random.default_rng(seed)
-    if kind == "full":
-        m = _rand_complex(g, n)
-    elif kind == "deficient":
-        r = data.draw(st.integers(0, n - 1), label="r")
-        m = (g.standard_normal((n, r)) + 1j * g.standard_normal((n, r))) @ (
-            g.standard_normal((r, n)) + 1j * g.standard_normal((r, n))
-        )
-    else:
-        s = 10.0 ** -np.linspace(0, 9, n) if kind == "graded" else 1.0 + 1e-9 * g.standard_normal(n)
-        m = _rand_unitary(g, n) @ np.diag(s) @ _rand_unitary(g, n)
+    m = _spectrum_case(seed, n, kind, data)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(svd_module, "_VECTOR_MIN", KERNELS["rounds"])
         res = svd(Matrix(m))
@@ -402,3 +411,58 @@ def test_round_robin_kernel_peak_memory_stays_under_twice_its_work_array(rng):
     finally:
         tracemalloc.stop()
     assert peak - start < 2 * av.nbytes
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    kind=st.sampled_from(SPECTRA),
+    kernel=st.sampled_from(sorted(KERNELS)),
+    data=st.data(),
+)
+def test_singular_values_are_the_svd_sigma_bit_for_bit(seed, n, kind, kernel, data):
+    # Both sweep the same scaled copy of m with the same rotations; the
+    # values-only path just carries no V along.
+    m = _spectrum_case(seed, n, kind, data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svd_module, "_VECTOR_MIN", KERNELS[kernel])
+        values = singular_values(m)
+        res = svd(Matrix(m))
+    assert values == res.sigma
+    assert all(type(v) is float for v in values)
+    assert numerical_rank(values) == res.rank
+
+
+def test_singular_values_take_real_arrays_and_reject_rectangular():
+    assert singular_values(np.diag([1.0, 3.0, 2.0])) == (3.0, 2.0, 1.0)
+    assert singular_values(np.zeros((1, 1))) == (0.0,)
+    with pytest.raises(NotSquare):
+        singular_values(np.ones((2, 3)))
+    with pytest.raises(NotSquare):
+        singular_values(np.ones(4))
+
+
+def test_values_only_work_array_peak_memory_stays_under_three_times_its_size(rng):
+    # Without a v half, a round of n/2 pairs gathers every column of a,
+    # so its transients are one copy of the work array plus the two
+    # half-size products of _rotate, and numpy's index buffers: just
+    # over twice the array (the [a; v] array above is twice as large
+    # for the same transients).  They must stay below a third copy.
+    n = 32
+
+    def work_array():
+        m = _rand_complex(rng, n)
+        return np.asfortranarray(m / np.linalg.norm(m))
+
+    svd_module._jacobi_rounds(work_array(), svd_module.MAX_SWEEPS)  # fill the schedule cache
+    a = work_array()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        svd_module._jacobi_rounds(a, svd_module.MAX_SWEEPS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 3 * a.nbytes
