@@ -23,23 +23,14 @@ from .perceptron import TrainingSet
 # Mean prediction error above which iterative training is abandoned.
 DIVERGENCE_LIMIT = 1e6
 
-_INIT_MODES = ("zero", "identity", "seeded")
-
-
 @dataclass(frozen=True)
 class IterativeConfig:
-    """Knobs for the iterative quantum baseline.
-
-    init selects the starting weight: "zero", "identity" or "seeded"
-    (complex entries from a seeded normal generator, so runs are
-    reproducible).
-    """
+    """Knobs for the iterative quantum baseline, which starts from the
+    zero weight."""
 
     eta: float = 0.1
     max_iters: int = 1000
     stop_tol: float = 1e-3
-    init: str = "zero"
-    seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta >= 0.0):
@@ -48,8 +39,6 @@ class IterativeConfig:
             raise ValidationError("max_iters must be at least 1")
         if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0.0):
             raise ValidationError("stop_tol must be finite and nonnegative")
-        if self.init not in _INIT_MODES:
-            raise ValidationError("init must be one of %s" % (_INIT_MODES,))
 
 
 @dataclass(frozen=True)
@@ -66,15 +55,6 @@ class IterativeResult:
     final_error: float
 
 
-def _initial_weight(dim: int, cfg: IterativeConfig) -> np.ndarray:
-    if cfg.init == "zero":
-        return np.zeros((dim, dim), dtype=complex)
-    if cfg.init == "identity":
-        return np.eye(dim, dtype=complex)
-    rng = np.random.default_rng(cfg.seed)
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-
 def iterative_quantum_train(s: TrainingSet, cfg: IterativeConfig = IterativeConfig()) -> IterativeResult:
     """Fit a weight matrix to the training pairs by repeated updates.
 
@@ -85,7 +65,7 @@ def iterative_quantum_train(s: TrainingSet, cfg: IterativeConfig = IterativeConf
     DivergenceDetected if it ever exceeds DIVERGENCE_LIMIT or is NaN
     (a step large enough to overflow the weight).
     """
-    w = _initial_weight(s.dim, cfg)
+    w = np.zeros((s.dim, s.dim), dtype=complex)
     errors = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, cfg.max_iters + 1):

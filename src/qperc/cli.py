@@ -180,13 +180,7 @@ def _cmd_gen_set(args) -> int:
 
 def _cmd_baseline(args) -> int:
     s = parse_training_set(_read_text(args.set))
-    cfg = IterativeConfig(
-        eta=args.eta,
-        max_iters=args.max_iters,
-        stop_tol=args.stop_tol,
-        init=args.init,
-        seed=args.seed,
-    )
+    cfg = IterativeConfig(eta=args.eta, max_iters=args.max_iters, stop_tol=args.stop_tol)
     res = iterative_quantum_train(s, cfg)
     print("iterations: %d" % res.iterations)
     print("final mean error: %.6e" % res.final_error)
@@ -242,8 +236,6 @@ def _build_parser() -> _Parser:
     b.add_argument("--eta", type=_tolerance, default=0.1)
     b.add_argument("--max-iters", type=int, default=1000)
     b.add_argument("--stop-tol", type=_tolerance, default=1e-3)
-    b.add_argument("--init", choices=("zero", "identity", "seeded"), default="zero")
-    b.add_argument("--seed", type=_seed, default=0)
     b.set_defaults(func=_cmd_baseline)
 
     c = sub.add_parser("classify", help="report the completeness class of a training set")

@@ -4,7 +4,9 @@ unitarity test).
 
 Amplitudes are stored as immutable ``numpy`` arrays of ``complex128``.
 Construction validates shape, finiteness and (for states) the norm;
-nothing is ever silently renormalized.
+nothing is ever silently renormalized.  One function,
+:func:`unit_state_check`, decides whether amplitudes are a finite
+unit state, for one state or for every column of an array at once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotSquare, ValidationError
 
-# Tolerance on | ||x||^2 - 1 | accepted by the StateVector constructor.
+# Tolerance on | ||x||^2 - 1 | accepted by unit_state_check.
 NORM_TOL = 1e-9
 
 # Default tolerance for is_unitary (max entrywise deviation of m m† from I).
@@ -31,17 +33,25 @@ def _freeze(a: np.ndarray, copy: bool = True) -> np.ndarray:
     return a
 
 
-def _squared_norm(a: np.ndarray) -> float:
-    # Squares above about 1e154 overflow, so the real and imaginary
-    # parts are summed after dividing by the largest of them; the
-    # Python float product that scales the sum back gives inf rather
-    # than an overflow warning.
-    p = np.abs(a.view(float))
-    top = float(p.max())
-    if top == 0.0:
-        return 0.0
-    p /= top
-    return top * top * float(p @ p)
+def unit_state_check(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each column of a 2-d complex array, or a 1-d array as a
+    whole, fails to be a finite unit state, and its squared norm.
+
+    A column fails when ``|sum |a_i|^2 - 1| <= NORM_TOL`` is not true,
+    so a nan entry (nan norm) fails, and so does an inf entry or a
+    square that overflows (inf norm).  See :func:`unit_state_reason`
+    for the reason.
+    """
+    with np.errstate(over="ignore"):
+        n2 = (a.real ** 2 + a.imag ** 2).sum(axis=0)
+    return ~(np.abs(n2 - 1.0) <= NORM_TOL), n2
+
+
+def unit_state_reason(a: np.ndarray, n2: float) -> str:
+    """Why the state a, with squared norm n2, failed :func:`unit_state_check`."""
+    if not np.isfinite(a).all():
+        return "non-finite entry (nan or inf)"
+    return "state is not normalized: sum |a_i|^2 = %.12g" % n2
 
 
 class StateVector:
@@ -57,14 +67,13 @@ class StateVector:
     __slots__ = ("_a",)
 
     def __init__(self, amps: Iterable[complex]):
-        a = _freeze(np.asarray(list(amps) if not isinstance(amps, np.ndarray) else amps))
+        a = np.array(amps if isinstance(amps, np.ndarray) else list(amps), dtype=complex)
         if a.ndim != 1 or a.size == 0:
             raise ValidationError("state must be a non-empty 1-d amplitude list")
-        n2 = _squared_norm(a)
-        if abs(n2 - 1.0) > NORM_TOL:
-            raise ValidationError(
-                "state is not normalized: sum |a_i|^2 = %.12g" % n2
-            )
+        bad, n2 = unit_state_check(a)
+        if bad:
+            raise ValidationError(unit_state_reason(a, n2))
+        a.setflags(write=False)
         self._a = a
 
     @classmethod

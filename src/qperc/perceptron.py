@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentTrainingSet, ValidationError
-from .linalg import NORM_TOL, Matrix, StateVector, apply
+from .linalg import Matrix, StateVector, apply, unit_state_check, unit_state_reason
 from .svd import numerical_rank, singular_values, svd, triangular_factor
 
 # Pairwise inner-product preservation slack accepted by train().
@@ -94,27 +94,22 @@ class TrainingSet:
         """The set whose pair k is (x[:, k], y[:, k]), from copies of x
         and y.  Raises DimensionMismatch if their shapes differ, and
         ValidationError unless they are non-empty and 2-d with every
-        column a finite unit state, naming the first bad column."""
+        column a finite unit state by linalg.unit_state_check, the one
+        check StateVector also makes.  The error names the first bad
+        pair, its input before its target."""
         x = np.array(x, dtype=complex, order="C")
         y = np.array(y, dtype=complex, order="C")
         if x.shape != y.shape:
             raise DimensionMismatch("inputs have shape %s, targets %s" % (x.shape, y.shape))
         if x.ndim != 2 or x.size == 0:
             raise ValidationError("inputs and targets must be non-empty 2-d arrays")
-        # Column 2k of z is input k and 2k + 1 target k, so the first
-        # bad column is the first fault in pair order, input first.
-        z = np.stack([x, y], axis=2).reshape(x.shape[0], -1)
-        finite = np.isfinite(z).all(axis=0)
-        with np.errstate(over="ignore"):
-            n2 = (z.real ** 2 + z.imag ** 2).sum(axis=0)
-        bad = ~finite | (np.abs(n2 - 1.0) > NORM_TOL)
+        bad_x, n2_x = unit_state_check(x)
+        bad_y, n2_y = unit_state_check(y)
+        bad = bad_x | bad_y
         if bad.any():
-            j = int(np.argmax(bad))
-            if finite[j]:
-                why = "state is not normalized: sum |a_i|^2 = %.12g" % n2[j]
-            else:
-                why = "non-finite entry (nan or inf)"
-            raise ValidationError("pair %d %s: %s" % (j // 2, ("input", "target")[j % 2], why))
+            k = int(np.argmax(bad))
+            side, a, n2 = ("input", x, n2_x) if bad_x[k] else ("target", y, n2_y)
+            raise ValidationError("pair %d %s: %s" % (k, side, unit_state_reason(a[:, k], n2[k])))
         s = cls.__new__(cls)
         s._hold(x, y)
         return s

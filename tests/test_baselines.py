@@ -24,8 +24,6 @@ def test_config_validation():
         IterativeConfig(max_iters=0)
     with pytest.raises(ValidationError):
         IterativeConfig(stop_tol=-1e-3)
-    with pytest.raises(ValidationError):
-        IterativeConfig(init="random")
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError):
             IterativeConfig(eta=bad)
@@ -79,25 +77,6 @@ def test_iterative_divergence_detected():
     s = generate_set(standard_gate("H"), "over", seed=3)
     with pytest.raises(DivergenceDetected, match="mean error nan after 1 iteration"):
         iterative_quantum_train(s, IterativeConfig(eta=1e200))
-
-
-def test_iterative_identity_init_starts_closer():
-    zero = iterative_quantum_train(_h_set(), IterativeConfig(max_iters=1, stop_tol=0.0))
-    ident = iterative_quantum_train(
-        _h_set(), IterativeConfig(max_iters=1, stop_tol=0.0, init="identity")
-    )
-    assert ident.errors[0] != zero.errors[0]
-
-
-def test_iterative_seeded_init_is_reproducible():
-    cfg = IterativeConfig(max_iters=3, stop_tol=0.0, init="seeded", seed=42)
-    r1 = iterative_quantum_train(_h_set(), cfg)
-    r2 = iterative_quantum_train(_h_set(), cfg)
-    assert r1.errors == r2.errors
-    other = iterative_quantum_train(
-        _h_set(), IterativeConfig(max_iters=3, stop_tol=0.0, init="seeded", seed=43)
-    )
-    assert r1.errors != other.errors
 
 
 def test_final_error_is_the_mean_of_the_per_pair_errors():

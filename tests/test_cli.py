@@ -1,13 +1,17 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qperc.cli import main
 from qperc.gates import generate_set, standard_gate
-from qperc.perceptron import TrainingSet
-from qperc.serialize import parse_model, parse_training_set, serialize_training_set
+from qperc.perceptron import TrainingSet, train
+from qperc.serialize import parse_model, parse_training_set, serialize_model, serialize_training_set
 
 
 def _write_set(tmp_path, name, gate, mode, seed=0):
@@ -178,20 +182,17 @@ def test_validate_rejects_non_finite_or_negative_tol(capsys, tol):
     assert len(_error_lines(captured.err)) == 1
 
 
-@pytest.mark.parametrize(
-    "command, seed",
-    [
-        pytest.param("gen-set", "-1", id="gen-set"),
-        pytest.param("baseline", "-1", id="baseline"),
-        pytest.param("gen-set", "abc", id="gen-set-abc"),
-        pytest.param("baseline", "abc", id="baseline-abc"),
-    ],
-)
-def test_negative_seed_is_usage_error(tmp_path, capsys, command, seed):
-    args = ["gen-set", "h", "--mode", "over"] if command == "gen-set" else [
-        "baseline", _write_set(tmp_path, "h.json", "H", "complete"), "--init", "seeded"
-    ]
-    assert main(args + ["--seed", seed]) == 1
+@pytest.mark.parametrize("seed", [pytest.param("-1", id="gen-set"), pytest.param("abc", id="gen-set-abc")])
+def test_negative_seed_is_usage_error(capsys, seed):
+    assert main(["gen-set", "h", "--mode", "over", "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(_error_lines(captured.err)) == 1
+
+
+@pytest.mark.parametrize("flag", [["--init", "zero"], ["--seed", "0"]])
+def test_baseline_has_no_start_weight_options(tmp_path, capsys, flag):
+    assert main(["baseline", _write_set(tmp_path, "h.json", "H", "complete")] + flag) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(_error_lines(captured.err)) == 1
@@ -400,3 +401,60 @@ def test_unknown_flag_is_usage_error(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["transmogrify"]) == 1
+
+
+# Fuzz inputs: arbitrary JSON, JSON shaped like a set or a model with
+# arbitrary parts, valid files, and text that is not JSON at all.
+_NUMBER = st.one_of(st.integers(), st.floats(), st.just(10**400))
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=12,
+)
+_AMPS = st.lists(_NUMBER | st.lists(_NUMBER, min_size=2, max_size=2), min_size=1, max_size=3)
+_SETS = [serialize_training_set(generate_set(standard_gate("H"), mode)) for mode in ("complete", "less", "over")]
+_MODEL = json.loads(serialize_model(train(parse_training_set(_SETS[0]))))
+_SET_DOC = st.fixed_dictionaries(
+    {
+        "dim": st.integers(0, 3) | _JSON,
+        "pairs": st.lists(st.fixed_dictionaries({"x": _AMPS | _JSON, "y": _AMPS | _JSON}), max_size=3) | _JSON,
+    }
+)
+_MODEL_DOC = st.just(_MODEL) | st.builds(lambda k, v: {**_MODEL, k: v}, st.sampled_from(sorted(_MODEL)), _JSON)
+_STATE = st.text(max_size=12) | _AMPS.map(json.dumps) | st.sampled_from(["[1, 0]", "[[0.6, 0], [0, 0.8]]"])
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=100)
+@given(
+    set_text=st.sampled_from(_SETS) | _SET_DOC.map(json.dumps) | _JSON.map(json.dumps) | st.text(max_size=12),
+    model_text=_MODEL_DOC.map(json.dumps) | _JSON.map(json.dumps) | st.text(max_size=12),
+    state=_STATE,
+    normalize=st.booleans(),
+)
+def test_every_command_ends_in_an_exit_code_and_at_most_one_error_line(
+    tmp_path_factory, set_text, model_text, state, normalize
+):
+    d = tmp_path_factory.mktemp("fuzz")
+    set_path, model_path = d / "set.json", d / "model.json"
+    set_path.write_text(set_text, encoding="utf-8")
+    model_path.write_text(model_text, encoding="utf-8")
+    predict = ["predict", str(model_path), "--state=" + state] + ["--normalize"] * normalize
+    for argv in (
+        ["train", str(set_path)],
+        ["classify", str(set_path)],
+        predict,
+        ["baseline", str(set_path), "--max-iters", "3"],
+    ):
+        code, err = _run(argv)
+        assert code in (0, 1, 2, 3), argv
+        if code == 0:
+            assert err == "", argv
+        elif code in (2, 3):
+            assert len(_error_lines(err)) == 1, (argv, err)

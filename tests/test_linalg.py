@@ -148,6 +148,8 @@ def test_is_unitary_on_gates_and_weights():
     w = Matrix(np.array([[1.6, 2.2], [0.8, -1.4]]) / SQRT2)
     assert not is_unitary(w, 1e-6)
     assert not is_unitary(Matrix(np.zeros((2, 2))), 1e-6)
+    # A deviation exactly at the tolerance passes: here it is 1.5^2 - 1.
+    assert is_unitary(Matrix(np.diag([1.0, 1.5])), tol=1.25)
 
 
 def test_is_unitary_requires_square():

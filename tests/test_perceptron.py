@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qperc.linalg as linalg_mod
 import qperc.perceptron as perceptron_mod
 from qperc.errors import DimensionMismatch, InconsistentTrainingSet, ValidationError
 from qperc.gates import complete_training_set, standard_gate
@@ -20,6 +22,7 @@ from qperc.perceptron import (
     total_weight,
     train,
 )
+from qperc.serialize import array_to_json, parse_state
 from qperc.svd import DEFAULT_RANK_TOL
 
 SQRT2 = math.sqrt(2.0)
@@ -116,11 +119,14 @@ def test_consistency_single_pair_has_nothing_to_compare():
     assert rep.violation == 0.0
 
 
-def test_consistency_of_contradictory_set():
+def test_consistency_of_contradictory_set(monkeypatch):
     rep = consistency_check(_contradictory_set())
     assert not rep.ok
     assert rep.worst_pair == (0, 1)
     assert rep.violation == pytest.approx(1.0, abs=1e-12)
+    # A violation exactly at the tolerance passes.
+    monkeypatch.setattr(perceptron_mod, "CONSISTENCY_TOL", rep.violation)
+    assert consistency_check(_contradictory_set()).ok
 
 
 def test_train_recovers_hadamard_from_example_1():
@@ -435,6 +441,26 @@ def test_from_arrays_names_the_first_bad_column(side, value, why):
     with pytest.raises(ValidationError) as exc:
         TrainingSet.from_arrays(x, y)
     assert str(exc.value) == "pair 2 %s: %s" % (side, why)
+    # StateVector and parse_state make the same check in the same words.
+    with pytest.raises(ValidationError) as exc:
+        StateVector(a[:, 2])
+    assert str(exc.value) == why
+    with pytest.raises(ValidationError) as exc:
+        parse_state(json.dumps(array_to_json(a[:, 2])))
+    assert str(exc.value) == "state: " + why
+
+
+def test_norm_tolerance_boundary_is_the_same_for_states_and_sets(monkeypatch):
+    # |1 + 0.5^2 - 1| is exactly 0.25; a deviation at the tolerance passes.
+    x = np.array([[1.0], [0.5]])
+    monkeypatch.setattr(linalg_mod, "NORM_TOL", 0.25)
+    assert StateVector(x[:, 0]).dim == 2
+    assert len(TrainingSet.from_arrays(x, x)) == 1
+    monkeypatch.setattr(linalg_mod, "NORM_TOL", np.nextafter(0.25, 0.0))
+    with pytest.raises(ValidationError, match="= 1.25$"):
+        StateVector(x[:, 0])
+    with pytest.raises(ValidationError, match="^pair 0 input: .* = 1.25$"):
+        TrainingSet.from_arrays(x, x)
 
 
 def test_from_arrays_reports_an_input_before_a_later_target():

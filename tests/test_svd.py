@@ -174,6 +174,8 @@ def test_null_space_completion_is_deterministic():
 def test_rank_tol_is_respected():
     m = Matrix(np.diag([1.0, 1e-12]))
     assert svd(m).rank == 1  # default 1e-10 cutoff
+    # A value exactly at the cutoff does not count.
+    assert numerical_rank((1.0, 1e-10)) == 1
 
 
 def test_rejects_rectangular():
