@@ -10,11 +10,11 @@ is u @ v_dag.  There is no update loop; one SVD is the whole of
 training.
 
 Consistency compares the Gram matrices X†X and Y†Y entrywise, and the
-completeness class comes from the rank of X, read from singular values
-alone: those of X itself when m = dim, and of the square R of a
-Householder QR of X† when m > dim (fewer than dim inputs cannot span
-the space).  No singular vectors are formed, so the weight's is the
-only full SVD a fit makes.
+completeness class comes from the rank of X (fewer than dim inputs
+cannot span the space).  For m >= dim numpy's QR of X† gives a
+dim x dim R with the singular values of X, and the rank is read from
+those of R† alone.  No singular vectors are formed, so the weight's is
+the only full SVD a fit makes.
 
 For a consistent training set (one whose pairs preserve pairwise inner
 products, i.e. could have come from some unitary) the learned operator
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InconsistentTrainingSet, ValidationError
 from .linalg import Matrix, StateVector, apply, unit_state_check, unit_state_reason
-from .svd import numerical_rank, singular_values, svd, triangular_factor
+from .svd import numerical_rank, singular_values, svd
 
 # Pairwise inner-product preservation slack accepted by train().
 CONSISTENCY_TOL = 1e-8
@@ -188,23 +188,31 @@ def total_weight(s: TrainingSet) -> Matrix:
 def classify_set(x: np.ndarray) -> Completeness:
     """Classify input coverage as less-complete, complete or over-complete.
 
-    x holds the inputs as its columns (dim x m).  Fewer than dim inputs
+    x holds the inputs as its columns (dim x m), all finite; a
+    non-finite entry raises ValidationError.  Fewer than dim inputs
     cannot span the space.  Otherwise the rank is the number of
-    singular values of x above DEFAULT_RANK_TOL * max(1, sigma_max).
-    Only singular values are computed (:func:`singular_values`, no U or
-    V): those of x when it is square, and of the dim x dim R of a
-    Householder QR of x† when it is tall (R has the singular values of
-    x).  The Gram matrix x x† is never formed: it would square the
-    condition number.
+    singular values of x above DEFAULT_RANK_TOL * max(1, sigma_max),
+    taken from the dim x dim R of numpy's QR of x†, which has the
+    singular values of x.  Only the singular values of R† are computed
+    (:func:`singular_values`, no U or V): one-sided Jacobi runs on R†,
+    as in the preconditioning of Drmač and Veselić ("New fast and
+    accurate Jacobi SVD algorithm", SIMAX 2008).  The Gram matrix x x†
+    is never formed: it would square the condition number.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.size == 0:
         raise ValidationError("cannot classify an empty set of pairs")
+    finite = np.isfinite(x)
+    if not finite.all():
+        i, k = np.unravel_index(np.argmin(finite), x.shape)
+        raise ValidationError("non-finite entry (nan or inf): x[%d, %d] = %s" % (i, k, x[i, k]))
     dim, count = x.shape
     if count < dim:
         return Completeness.LESS_COMPLETE
-    a = x if count == dim else triangular_factor(x.conj().T)
-    if numerical_rank(singular_values(a)) < dim:
+    # R† made C-contiguous is swept without a copy, and R is freed
+    # first: a fit's peak memory is measured.
+    r_dag = np.conjugate(np.linalg.qr(x.conj().T, mode="r").T, order="C")
+    if numerical_rank(singular_values(r_dag)) < dim:
         return Completeness.LESS_COMPLETE
     if count == dim:
         return Completeness.COMPLETE

@@ -44,11 +44,6 @@ descending order (stable towards the original column order on ties) and
 each column of U is rotated so that its largest-modulus entry is real
 and positive, with the paired V column absorbing the opposite phase so
 the product U diag(sigma) V† is untouched.
-
-:func:`triangular_factor` is the R of a Householder QR.  The singular
-values of a tall matrix are those of its square R, so a rank can be
-taken from the singular values of R (the preconditioning of Drmač and
-Veselić, "New fast and accurate Jacobi SVD algorithm", SIMAX 2008).
 """
 
 from __future__ import annotations
@@ -373,30 +368,6 @@ def svd(m: Matrix, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
         v_dag=Matrix.wrap(v.T),
         rank=numerical_rank(sigma),
     )
-
-
-def triangular_factor(a: np.ndarray) -> np.ndarray:
-    """The n x n upper-triangular R of a Householder QR of a tall m x n
-    complex array (m >= n), which has the singular values of a.
-
-    Column k is reflected onto -e^{i arg a_kk} ||a[k:, k]|| e_k, one
-    reflection per column as array operations; Q is not formed.
-    """
-    a = np.array(a, dtype=complex)
-    n = a.shape[1]
-    for k in range(n):
-        x = a[k:, k]
-        norm = float(np.linalg.norm(x))
-        if norm == 0.0:
-            continue
-        x0 = x[0]
-        alpha = -(x0 / abs(x0) if x0 != 0 else 1.0) * norm
-        w = x.copy()
-        w[0] -= alpha
-        w /= np.linalg.norm(w)
-        tail = a[k:, k:]
-        tail -= 2.0 * np.outer(w, w.conj() @ tail)
-    return np.triu(a[:n])
 
 
 def polar_unitary(m: Matrix):

@@ -5,7 +5,7 @@ import qperc
 from qperc import cli, linalg, perceptron
 from qperc.gates import generate_set, standard_gate
 from qperc.linalg import Matrix
-from qperc.svd import svd, triangular_factor
+from qperc.svd import svd
 
 REMOVED = ("ClassicalResult", "classical_perceptron_train", "oracle_uf", "BadTableLength", "fidelity", "inner")
 
@@ -107,7 +107,7 @@ def _class_by_full_svd(x):
     dim, count = x.shape
     if count < dim:
         return perceptron.Completeness.LESS_COMPLETE
-    a = x if count == dim else triangular_factor(x.conj().T)
+    a = x if count == dim else np.linalg.qr(x.conj().T, mode="r")
     if svd(Matrix.wrap(a)).rank < dim:
         return perceptron.Completeness.LESS_COMPLETE
     return perceptron.Completeness.COMPLETE if count == dim else perceptron.Completeness.OVER_COMPLETE

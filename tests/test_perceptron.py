@@ -106,6 +106,16 @@ def test_classify_rejects_empty():
         classify_set([])
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (3, 4)], ids=["square", "tall"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_classify_rejects_a_non_finite_entry(shape, bad):
+    # Bad input, not a numerical failure of the sweeps.
+    x = np.eye(*shape, dtype=complex)
+    x[1, 2] = bad
+    with pytest.raises(ValidationError, match=r"non-finite entry \(nan or inf\): x\[1, 2\]"):
+        classify_set(x)
+
+
 def test_consistency_of_good_set():
     rep = consistency_check(_example1_set())
     assert rep.ok
@@ -355,6 +365,22 @@ def test_train_on_less_complete_sets_is_unitary_and_meets_every_target(seed, dim
     assert s.completeness is Completeness.LESS_COMPLETE
     model = train(s)
     assert model.rank == r
+    assert is_unitary(model.unitary, 1e-10)
+    assert np.max(np.abs(model.unitary.array @ s.x - s.y)) <= 1e-9
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 12), data=st.data())
+def test_train_on_complete_and_over_complete_sets_is_unitary_and_meets_every_target(seed, dim, data):
+    m = data.draw(st.integers(dim, 4 * dim), label="m")
+    g = np.random.default_rng(seed)
+    x = _unit_columns(g.standard_normal((dim, m)) + 1j * g.standard_normal((dim, m)))
+    # Haar: the QR of a complex Gaussian, with the phases of R's
+    # diagonal moved into Q (Mezzadri 2007).
+    q, r = np.linalg.qr(g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim)))
+    q *= np.diagonal(r) / np.abs(np.diagonal(r))
+    s = TrainingSet.from_arrays(x, q @ x)
+    assert s.completeness is (Completeness.COMPLETE if m == dim else Completeness.OVER_COMPLETE)
+    model = train(s)
     assert is_unitary(model.unitary, 1e-10)
     assert np.max(np.abs(model.unitary.array @ s.x - s.y)) <= 1e-9
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from qperc.errors import NotSquare, NumericalFailure
 from qperc.linalg import Matrix, normalize
-from qperc.svd import numerical_rank, polar_unitary, singular_values, svd, triangular_factor
+from qperc.perceptron import Completeness, classify_set
+from qperc.svd import numerical_rank, polar_unitary, singular_values, svd
 
 # The module itself: the package exports a function of the same name.
 svd_module = importlib.import_module("qperc.svd")
@@ -240,21 +241,24 @@ def test_prescribed_spectra_match_the_oracle(seed, n, kind):
     assert res.rank == _oracle_rank(m)
 
 
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), extra=st.integers(0, 120), data=st.data())
-def test_triangular_factor_keeps_the_singular_values(seed, n, extra, data):
-    r = data.draw(st.integers(0, n), label="rank")
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 12), extra=st.integers(0, 120), data=st.data())
+def test_classification_matches_the_lapack_rank(seed, dim, extra, data):
+    # x = B C of rank r over dim + extra unit columns; dim reaches
+    # _VECTOR_MIN, so the rank is read by both kernels.
+    r = data.draw(st.integers(1, dim), label="rank")
     g = np.random.default_rng(seed)
-    a = (g.standard_normal((n + extra, r)) + 1j * g.standard_normal((n + extra, r))) @ (
-        g.standard_normal((r, n)) + 1j * g.standard_normal((r, n))
+    m = dim + extra
+    x = (g.standard_normal((dim, r)) + 1j * g.standard_normal((dim, r))) @ (
+        g.standard_normal((r, m)) + 1j * g.standard_normal((r, m))
     )
-    t = triangular_factor(a)
-    assert t.shape == (n, n)
-    assert np.all(np.tril(t, -1) == 0)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    np.testing.assert_allclose(t.conj().T @ t, a.conj().T @ a, atol=1e-12 * scale**2)
-    np.testing.assert_allclose(
-        np.linalg.svd(t, compute_uv=False), np.linalg.svd(a, compute_uv=False), atol=1e-12 * scale
-    )
+    x /= np.linalg.norm(x, axis=0)
+    if _oracle_rank(x) < dim:
+        want = Completeness.LESS_COMPLETE
+    elif extra == 0:
+        want = Completeness.COMPLETE
+    else:
+        want = Completeness.OVER_COMPLETE
+    assert classify_set(x) is want
 
 
 @given(
@@ -381,6 +385,15 @@ def test_kernels_agree_on_exact_ties(monkeypatch, diagonal):
     np.testing.assert_array_equal(scalar.u.array, rounds.u.array)
     np.testing.assert_array_equal(scalar.v_dag.array, rounds.v_dag.array)
     np.testing.assert_allclose(_reconstruct(rounds), m.array, atol=1e-15)
+
+
+def test_tied_singular_values_keep_their_column_order():
+    # A diagonal matrix makes no rotation, so equal column norms tie
+    # exactly and only a stable sort keeps each tie in column order.
+    d = np.array([1.0, 2.0] * 16)
+    r = svd(Matrix(np.diag(d)))
+    np.testing.assert_array_equal(np.argmax(np.abs(r.u.array), axis=0), np.argsort(-d, kind="stable"))
+    assert r.sigma == tuple(sorted(d, reverse=True))
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
