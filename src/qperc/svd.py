@@ -15,9 +15,9 @@ below ORTH_TOL times the product of its column norms, which gives
 one-sided Jacobi high relative accuracy (Demmel and Veselić, "Jacobi's
 method is more accurate than QR", SIMAX 1992).  A column whose norm
 falls to n·eps of the (unit) Frobenius norm carries no direction above
-rounding; it is deflated, that is, never rotated again, and its U
-direction is completed from the canonical basis instead of normalized
-(LAPACK's zgesvj deflates in the same way).
+rounding; it is deflated, that is, never rotated again (LAPACK's zgesvj
+deflates in the same way), and both its U and its V column are
+replaced by a completion instead of normalized (see below).
 
 When only the singular values are wanted, :func:`singular_values`
 sweeps a alone: no V is accumulated, which halves the rotation work,
@@ -37,13 +37,20 @@ and couplings are two ``np.vecdot`` calls on its gathered columns
 (vecdot conjugates its first argument, so no conjugate copy is made).
 The array operations cost more per call than the scalar loop's, so the
 scalar loop is faster on small matrices.  Both end at the same contract
-below, and their factors agree to rounding wherever the SVD is unique.
+below, and their factors agree to rounding wherever the SVD is unique;
+on rank-deficient input their null columns agree too, since the
+completion reads only the live columns.
 
 The output is made deterministic: singular values are sorted in
-descending order (stable towards the original column order on ties) and
-each column of U is rotated so that its largest-modulus entry is real
-and positive, with the paired V column absorbing the opposite phase so
-the product U diag(sigma) V† is untouched.
+descending order (stable towards the original column order on ties), so
+the r live columns come first.  Each column of U is rotated so that its
+largest-modulus entry is real and positive, with the paired V column
+taking the same phase so the product U diag(sigma) V† is untouched.
+The live columns are phased first; then the n - r null columns of each
+factor are the complement columns of numpy's complete QR of that
+factor's own live columns, phased in the same way.  The phases cancel
+in U V†, which therefore maps the null space of m by Q_V's complement
+onto Q_U's, whichever kernel ran.
 """
 
 from __future__ import annotations
@@ -243,29 +250,14 @@ def _jacobi_rounds(av: np.ndarray, max_sweeps: int) -> None:
     )
 
 
-def _complete_null_columns(u: np.ndarray, filled: np.ndarray) -> None:
-    """Fill the columns of u marked False in `filled` with unit vectors
-    orthogonal to everything already present, in column order.
-
-    Each is the canonical basis vector with the largest residual after
-    two Gram-Schmidt passes against the columns present, normalized
-    (the lowest index on ties).  The squared residuals of all n basis
-    vectors sum to the number of columns still missing, so the largest
-    is at least 1/sqrt(n) whenever the present columns are orthonormal.
-    """
-    n = u.shape[0]
-    filled = filled.copy()
-    for i in np.flatnonzero(~filled):
-        q = u[:, filled]
-        cand = np.eye(n, dtype=complex)
-        for _ in range(2):
-            cand -= q @ (q.conj().T @ cand)
-        r = np.linalg.norm(cand, axis=0)
-        k = int(np.argmax(r))
-        if r[k] < 0.5 / math.sqrt(n):  # present columns not orthonormal
-            raise NumericalFailure("failed to complete orthonormal basis")
-        u[:, i] = cand[:, k] / r[k]
-        filled[i] = True
+def _phase(u: np.ndarray, v: np.ndarray) -> None:
+    """Rotate each column of u in place so that its largest-modulus
+    entry is real and positive, and give the paired column of v the
+    same phase, so u @ v† is kept."""
+    z = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    ph = (z / np.abs(z)).conj()
+    u *= ph
+    v *= ph
 
 
 def numerical_rank(sigma) -> int:
@@ -346,19 +338,17 @@ def svd(m: Matrix, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
     del av
     norms = norms[order]
 
-    # Deflated columns are directionless noise; their U direction is
-    # completed from the canonical basis instead of normalized.
-    live = norms > n * _EPS
-    u /= np.where(live, norms, 1.0)
-    _complete_null_columns(u, live)
-
-    # Phase convention: largest-modulus entry of every u column made
-    # real positive; the paired v column absorbs the conjugate phase
-    # whenever its singular value is nonzero so the product is kept.
-    z = u[np.argmax(np.abs(u), axis=0), np.arange(n)]
-    ph = (z / np.abs(z)).conj()
-    u *= ph
-    v *= np.where(live, ph, 1.0)
+    # The r live columns come first, as the norms are sorted.  Deflated
+    # columns are directionless noise: each factor's are replaced by the
+    # complement of a QR of its own live columns, phased first so the
+    # completion does not depend on the phases the kernel left.
+    r = int(np.count_nonzero(norms > n * _EPS))
+    u[:, :r] /= norms[:r]
+    _phase(u[:, :r], v[:, :r])
+    if r < n:
+        u[:, r:] = np.linalg.qr(u[:, :r], mode="complete").Q[:, r:]
+        v[:, r:] = np.linalg.qr(v[:, :r], mode="complete").Q[:, r:]
+        _phase(u[:, r:], v[:, r:])
 
     sigma = tuple(float(x) for x in norms * fro * amax)
     np.conjugate(v, out=v)
@@ -377,8 +367,11 @@ def polar_unitary(m: Matrix):
     For full-rank m this is the unique nearest unitary in the Frobenius
     sense; when m is rank deficient the factor is still unitary and
     still maps every right-singular direction with nonzero singular
-    value exactly where m/sigma does, while the completion on the null
-    space follows the deterministic convention of :func:`svd`.
+    value exactly where m/sigma does.  On the null space of m it is
+    Q_u Q_v†, the complements of :func:`svd`'s QR completion of the
+    live columns of u and v; it depends only on those columns, not on
+    the kernel that ran, and is the identity there (to rounding) when m
+    is hermitian positive semidefinite.
     """
     r = svd(m)
     return Matrix.wrap(r.u.array @ r.v_dag.array), r.rank

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperc.errors import NotSquare, NumericalFailure
+from qperc.gates import generate_set, standard_gate
 from qperc.linalg import Matrix, normalize
-from qperc.perceptron import Completeness, classify_set
+from qperc.perceptron import Completeness, TrainingSet, classify_set, train
 from qperc.svd import numerical_rank, polar_unitary, singular_values, svd
 
 # The module itself: the package exports a function of the same name.
@@ -64,6 +65,11 @@ def test_diagonal_with_zero():
     r = svd(Matrix(np.diag([3.0, 0.0])))
     np.testing.assert_allclose(r.sigma, (3.0, 0.0), atol=1e-15)
     assert r.rank == 1
+    # A fixed point, sorted out of column order: the null columns of U
+    # and V take the same phase, so the polar factor is I, not diag(-1, 1).
+    u, rank = polar_unitary(Matrix(np.diag([0.0, 1.0])))
+    assert rank == 1
+    np.testing.assert_array_equal(u.array, np.eye(2))
 
 
 def test_zero_matrix():
@@ -170,6 +176,17 @@ def test_null_space_completion_is_deterministic():
     r2 = svd(Matrix(w.array.copy()))
     np.testing.assert_array_equal(r1.u.array, r2.u.array)
     np.testing.assert_array_equal(r1.v_dag.array, r2.v_dag.array)
+
+
+def test_deflation_keeps_a_tiny_singular_direction(rng):
+    # sigma = 1e-13 is above the n·eps deflation bound, so its column is
+    # normalized into U, not replaced by a completion (which lies in the
+    # same plane, at a random angle: hence several draws).
+    for _ in range(10):
+        q = _rand_unitary(rng, 3)
+        m = q @ np.diag([1.0, 1e-13, 0.0]) @ _rand_unitary(rng, 3)
+        r = svd(Matrix(m))
+        assert abs(np.vdot(q[:, 1], r.u.array[:, 1])) > 0.99
 
 
 def test_rank_tol_is_respected():
@@ -447,6 +464,11 @@ def test_singular_values_are_the_svd_sigma_bit_for_bit(seed, n, kind, kernel, da
     assert values == res.sigma
     assert all(type(v) is float for v in values)
     assert numerical_rank(values) == res.rank
+    # Phase convention, on live and null columns alike: the
+    # largest-modulus entry of every column of U is real and positive.
+    u = res.u.array
+    z = u[np.argmax(np.abs(u), axis=0), np.arange(n)]
+    assert np.all(z.real > 0) and np.all(np.abs(z.imag) <= 1e-15 * np.abs(z))
 
 
 def test_singular_values_take_real_arrays_and_reject_rectangular():
@@ -481,3 +503,45 @@ def test_values_only_work_array_peak_memory_stays_under_three_times_its_size(rng
     finally:
         tracemalloc.stop()
     assert peak - start < 3 * a.nbytes
+
+
+def _unitary_by_kernel(s):
+    """The unitary that train learns from s, by each kernel of KERNELS."""
+    learned = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for kernel, setting in KERNELS.items():
+            mp.setattr(svd_module, "_VECTOR_MIN", setting)
+            learned[kernel] = train(s).unitary.array
+    return learned
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 12), data=st.data())
+def test_kernels_learn_the_same_unitary_on_less_complete_sets(seed, dim, data):
+    # Off the span of the inputs the weight is zero, and the unitary
+    # there comes from the QR completion of each factor's live columns,
+    # not from whatever the kernel left in its null columns.
+    m = data.draw(st.integers(1, dim - 1), label="m")
+    g = np.random.default_rng(seed)
+    x = g.standard_normal((dim, m)) + 1j * g.standard_normal((dim, m))
+    x /= np.linalg.norm(x, axis=0)
+    learned = _unitary_by_kernel(TrainingSet.from_arrays(x, _rand_unitary(g, dim) @ x))
+    np.testing.assert_allclose(learned["scalar"], learned["rounds"], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("gate", ["H", "S", "T", "CNOT", "Toffoli", "Fredkin", "composite"])
+def test_kernels_learn_the_same_unitary_on_the_less_complete_gate_sets(gate):
+    for seed in range(30):
+        learned = _unitary_by_kernel(generate_set(standard_gate(gate), "less", seed=seed))
+        np.testing.assert_allclose(learned["scalar"], learned["rounds"], rtol=0, atol=1e-10)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 12), data=st.data())
+def test_fixed_points_learn_the_identity(seed, dim, data):
+    # W = X X† is hermitian, so U's and V's live columns agree and so do
+    # their completions: the map off the span is the identity too.
+    m = data.draw(st.integers(1, dim - 1), label="m")
+    g = np.random.default_rng(seed)
+    x = g.standard_normal((dim, m)) + 1j * g.standard_normal((dim, m))
+    x /= np.linalg.norm(x, axis=0)
+    for learned in _unitary_by_kernel(TrainingSet.from_arrays(x, x)).values():
+        np.testing.assert_allclose(learned, np.eye(dim), rtol=0, atol=1e-10)
