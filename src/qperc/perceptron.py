@@ -9,7 +9,8 @@ v_dag, every singular value is forced to one and the learned operator
 is u @ v_dag.  There is no update loop; one SVD is the whole of
 training.
 
-Consistency compares the Gram matrices X†X and Y†Y entrywise, and the
+Consistency compares X†X and Y†Y entrywise, in row blocks over the
+strict upper triangle, so its memory is O(rows * m), not m x m.  The
 completeness class comes from the rank of X (fewer than dim inputs
 cannot span the space).  For m >= dim numpy's QR of X† gives a
 dim x dim R with the singular values of X, and the rank is read from
@@ -36,6 +37,11 @@ from .svd import numerical_rank, singular_values, svd
 
 # Pairwise inner-product preservation slack accepted by train().
 CONSISTENCY_TOL = 1e-8
+
+# Rows of |X†X - Y†Y| that consistency_check forms at a time.  Fewer
+# rows measured a slightly higher fit peak on complete dim-32 sets, more
+# a higher one on over-complete dim-4 sets.
+_CONSISTENCY_ROWS = 32
 
 
 class Completeness(enum.Enum):
@@ -227,17 +233,26 @@ def consistency_check(s: TrainingSet) -> ConsistencyReport:
     CONSISTENCY_TOL, that is X†X = Y†Y.  The report carries the worst
     violating pair (the first in row-major order on ties) and its
     magnitude.
+
+    Only the strict upper triangle is formed, _CONSISTENCY_ROWS rows of
+    it at a time, so the check holds O(rows * m) memory, not the m x m
+    Gram matrices.
     """
+    x, y = s.x, s.y
     m = len(s)
-    g = s.x.conj().T @ s.x
-    g -= s.y.conj().T @ s.y
-    np.abs(g, out=g)
-    g[np.tri(m, dtype=bool)] = 0.0  # keep the strict upper triangle
-    # Complex values compare by real part first, and every imaginary
-    # part is now 0, so this is the first largest |violation|.
-    k = int(np.argmax(g))
-    worst = float(g.flat[k].real)
-    worst_pair = divmod(k, m) if worst > 0.0 else None
+    worst, worst_pair = 0.0, None
+    for i in range(0, m, _CONSISTENCY_ROWS):
+        rows = slice(i, i + _CONSISTENCY_ROWS)
+        d = x[:, rows].conj().T @ x[:, i:]
+        d -= y[:, rows].conj().T @ y[:, i:]
+        d = np.abs(d)
+        d[np.tri(*d.shape, dtype=bool)] = 0.0  # keep the strict upper triangle
+        k = int(np.argmax(d))
+        # Blocks come in row order, so only a strictly larger value
+        # displaces an earlier pair: the first largest still wins.
+        if d.flat[k] > worst:
+            r, c = divmod(k, d.shape[1])
+            worst, worst_pair = float(d.flat[k]), (i + r, i + c)
     return ConsistencyReport(
         ok=worst <= CONSISTENCY_TOL, worst_pair=worst_pair, violation=worst, tol=CONSISTENCY_TOL
     )

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,39 +298,71 @@ def _sets(draw):
     return _random_set(draw(st.integers(0, 2**32 - 1)), dim, m, rank, draw(st.booleans(), label="consistent"))
 
 
+# Rows per block of consistency_check: single rows, blocks that split
+# the sets unevenly, the default, and one block for the whole set.
+BLOCK_ROWS = (1, 2, 3, perceptron_mod._CONSISTENCY_ROWS, 1 << 20)
+
+
+def _consistency_at(s, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perceptron_mod, "_CONSISTENCY_ROWS", rows)
+        return consistency_check(s)
+
+
 def test_consistency_tie_goes_to_the_first_pair_in_row_major_order():
     # inputs |0>..|3> map to |0>, |1>, |1>, |0>: pairs (0, 3) and (1, 2)
-    # both violate by exactly 1; the pairwise loop meets (0, 3) first
+    # both violate by exactly 1; the pairwise loop meets (0, 3) first,
+    # and at one row per block a later equal block must not displace it
     e = [StateVector.basis(4, k) for k in range(4)]
-    s = TrainingSet(TrainingPair(e[k], e[t]) for k, t in enumerate((0, 1, 1, 0)))
-    rep = consistency_check(s)
-    assert rep.worst_pair == (0, 3) == _pairwise_consistency(s)[1]
-    assert rep.violation == 1.0
+    s4 = TrainingSet(TrainingPair(e[k], e[t]) for k, t in enumerate((0, 1, 1, 0)))
     e0, e1 = StateVector.basis(2, 0), StateVector.basis(2, 1)
-    s = TrainingSet([TrainingPair(e0, e0), TrainingPair(e0, e1), TrainingPair(e0, e0)])
-    assert consistency_check(s).worst_pair == (0, 1) == _pairwise_consistency(s)[1]
+    s3 = TrainingSet([TrainingPair(e0, e0), TrainingPair(e0, e1), TrainingPair(e0, e0)])
+    for rows in BLOCK_ROWS:
+        rep = _consistency_at(s4, rows)
+        assert rep.worst_pair == (0, 3) == _pairwise_consistency(s4)[1], rows
+        assert rep.violation == 1.0, rows
+        assert _consistency_at(s3, rows).worst_pair == (0, 1) == _pairwise_consistency(s3)[1], rows
 
 
 def test_consistency_of_a_set_that_preserves_every_product_names_no_pair():
     s = complete_training_set(standard_gate("Toffoli"))
-    rep = consistency_check(s)
-    assert rep.ok and rep.violation == 0.0 and rep.worst_pair is None
+    for rows in BLOCK_ROWS:
+        rep = _consistency_at(s, rows)
+        assert rep.ok and rep.violation == 0.0 and rep.worst_pair is None, rows
 
 
 @given(s=_sets())
 def test_consistency_check_matches_the_pairwise_loop(s):
-    rep = consistency_check(s)
     worst, worst_pair = _pairwise_consistency(s)
-    assert abs(rep.violation - worst) <= 1e-12
-    assert rep.ok == (rep.violation <= CONSISTENCY_TOL)
-    if worst_pair is None:
-        return
-    # The array path rounds differently; the pair may differ only
-    # between near ties, and then it is as bad as the loop's choice.
-    i, j = rep.worst_pair
-    assert i < j
-    d = abs(np.vdot(s.x[:, i], s.x[:, j]) - np.vdot(s.y[:, i], s.y[:, j]))
-    assert d >= worst - 1e-12
+    for rows in BLOCK_ROWS:
+        rep = _consistency_at(s, rows)
+        assert abs(rep.violation - worst) <= 1e-12, rows
+        assert rep.ok == (rep.violation <= CONSISTENCY_TOL), rows
+        if worst_pair is None:
+            continue
+        # The array path rounds differently; the pair may differ only
+        # between near ties, and then it is as bad as the loop's choice.
+        i, j = rep.worst_pair
+        assert i < j
+        d = abs(np.vdot(s.x[:, i], s.x[:, j]) - np.vdot(s.y[:, i], s.y[:, j]))
+        assert d >= worst - 1e-12
+
+
+def test_consistency_check_peak_memory_stays_far_below_one_gram_matrix():
+    # Row blocks over the upper triangle hold O(rows * m), never the
+    # m x m Gram matrices X†X and Y†Y (32 MiB here).
+    m = 1024
+    s = _random_set(5, 4, m, 4, consistent=True)
+    assert consistency_check(s).ok  # warm up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        consistency_check(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < m * m * np.dtype(complex).itemsize // 8
 
 
 @given(s=_sets())
